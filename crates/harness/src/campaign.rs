@@ -638,8 +638,10 @@ pub enum ScaleSpec {
         mixes: usize,
         /// Worker threads; `None` defaults to the machine's parallelism.
         threads: Option<usize>,
-        /// Epoch workers inside each multi-core simulation (0 = serial
-        /// multi-core engine).
+        /// Must be 0: every multi-core simulation runs single-threaded on
+        /// the exact [`dspatch_sim::Machine`]. Kept only so callers that
+        /// name the field still compile; spec files may not carry it, and
+        /// [`ScaleSpec::resolve`] rejects any other value.
         sim_workers: usize,
         /// Interval-sampling plan (`None` = exact simulation).
         sampling: Option<SamplingPlan>,
@@ -651,24 +653,28 @@ impl ScaleSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message for an unknown preset name.
+    /// Returns a message for an unknown preset name or a non-zero
+    /// `sim_workers`.
     pub fn resolve(&self) -> Result<RunScale, String> {
         match self {
             ScaleSpec::Preset(name) => RunScale::preset(name)
                 .ok_or_else(|| format!("unknown scale preset '{name}' (smoke/quick/full)")),
+            ScaleSpec::Custom { sim_workers, .. } if *sim_workers != 0 => Err(format!(
+                "custom scale 'sim_workers' must be 0 (got {sim_workers}): multi-core \
+                 simulations run single-threaded on the exact machine"
+            )),
             ScaleSpec::Custom {
                 accesses_per_workload,
                 workloads_per_category,
                 mixes,
                 threads,
-                sim_workers,
                 sampling,
+                ..
             } => Ok(RunScale {
                 accesses_per_workload: *accesses_per_workload,
                 workloads_per_category: *workloads_per_category,
                 mixes: *mixes,
                 threads: threads.unwrap_or_else(default_threads).max(1),
-                sim_workers: *sim_workers,
                 sampling: *sampling,
             }),
         }
@@ -683,8 +689,8 @@ impl ScaleSpec {
                 workloads_per_category,
                 mixes,
                 threads,
-                sim_workers,
                 sampling,
+                ..
             } => {
                 let mut entries = vec![
                     (
@@ -699,9 +705,6 @@ impl ScaleSpec {
                 ];
                 if let Some(threads) = threads {
                     entries.push(("threads".to_owned(), Json::num(*threads as f64)));
-                }
-                if *sim_workers > 0 {
-                    entries.push(("sim_workers".to_owned(), Json::num(*sim_workers as f64)));
                 }
                 if let Some(plan) = sampling {
                     entries.push((
@@ -738,7 +741,6 @@ impl ScaleSpec {
                 "workloads_per_category",
                 "mixes",
                 "threads",
-                "sim_workers",
                 "sampling",
             ],
             "custom scale",
@@ -762,13 +764,7 @@ impl ScaleSpec {
                         as usize,
                 ),
             },
-            sim_workers: match json.get("sim_workers") {
-                None | Some(Json::Null) => 0,
-                Some(workers) => workers
-                    .as_u64()
-                    .ok_or("custom scale 'sim_workers' must be a non-negative integer")?
-                    as usize,
-            },
+            sim_workers: 0,
             sampling: match json.get("sampling") {
                 None | Some(Json::Null) => None,
                 Some(plan) => Some(sampling_plan_from_json(plan)?),
@@ -1795,7 +1791,7 @@ fn execute_cells(
                 }
                 let index = jobs.len();
                 job_index.insert(key.clone(), index);
-                let config = scale.apply_sim_workers(cell.config.clone());
+                let config = cell.config.clone();
                 let fingerprint = crate::store::cell_fingerprint_sampled(
                     &target_key,
                     &format!("{sel:?}"),
@@ -2015,17 +2011,7 @@ fn execute_cells(
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].target.cores()));
 
-    // Campaign-level workers and intra-simulation epoch workers share one
-    // thread budget: when the cells request `parallel_cores`, each job may
-    // spin up `effective_workers()` threads of its own, so the outer pool
-    // shrinks by that factor instead of multiplying against it.
-    let max_intra = jobs
-        .iter()
-        .map(|job| job.config.effective_workers())
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    let threads = (scale.threads / max_intra).clamp(1, jobs.len().max(1));
+    let threads = scale.threads.clamp(1, jobs.len().max(1));
     let cursor = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let retries = AtomicUsize::new(0);
@@ -2230,7 +2216,6 @@ mod tests {
             workloads_per_category: 1,
             mixes: 1,
             threads: 2,
-            sim_workers: 0,
             sampling: None,
         }
     }
@@ -2332,6 +2317,30 @@ mod tests {
         let spec = CampaignSpec::single_cell("oversized", sampled_cell());
         let err = run_campaign(&spec, &oversized).unwrap_err();
         assert!(err.contains("sampling plan needs"), "{err}");
+    }
+
+    #[test]
+    fn custom_scales_refuse_sim_workers() {
+        // Multi-core cells always run on the single-threaded exact machine,
+        // so a spec file may not ask for intra-simulation workers...
+        let json = Json::parse(
+            r#"{"accesses_per_workload": 100, "workloads_per_category": 1, "mixes": 1, "sim_workers": 2}"#,
+        )
+        .expect("valid JSON");
+        let err = ScaleSpec::from_json(&json).unwrap_err();
+        assert!(err.contains("unknown key 'sim_workers'"), "{err}");
+        // ...and the field kept for source compatibility must stay 0.
+        let custom = |sim_workers| ScaleSpec::Custom {
+            accesses_per_workload: 100,
+            workloads_per_category: 1,
+            mixes: 1,
+            threads: Some(1),
+            sim_workers,
+            sampling: None,
+        };
+        assert!(custom(0).resolve().is_ok());
+        let err = custom(2).resolve().unwrap_err();
+        assert!(err.contains("'sim_workers' must be 0"), "{err}");
     }
 
     #[test]

@@ -60,22 +60,24 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Fingerprint binding a journal to one `(spec, scale)` identity, rendered
-/// as 16 hex digits. `threads` is excluded: it is a machine knob that never
-/// changes results (the executor is deterministic for any worker count), so
-/// a journal written on an 8-thread box resumes on a 2-thread one.
+/// Fingerprint binding a journal to one `(spec, scale, code version)`
+/// identity, rendered as 16 hex digits. `threads` is excluded: it is a
+/// machine knob that never changes results (the executor is deterministic
+/// for any worker count), so a journal written on an 8-thread box resumes
+/// on a 2-thread one. The [`crate::store::code_version`] is included, so a
+/// journal written by code that simulated differently fails `--resume` with
+/// a mismatch instead of mixing results of two models.
 pub fn campaign_fingerprint(spec_json: &Json, scale: &RunScale) -> String {
     let mut identity = format!(
-        "{}|a{}|w{}|m{}|s{}",
+        "{}|a{}|w{}|m{}|v{}",
         spec_json.render_compact(),
         scale.accesses_per_workload,
         scale.workloads_per_category,
         scale.mixes,
-        scale.sim_workers,
+        crate::store::code_version(),
     );
     // Sampled and exact runs of the same spec must never alias: the plan
-    // joins the identity, but only when present so existing exact journals
-    // keep their fingerprints.
+    // joins the identity when present.
     if let Some(plan) = &scale.sampling {
         identity.push_str(&plan.fingerprint_suffix());
     }
@@ -685,7 +687,6 @@ mod tests {
             workloads_per_category: 1,
             mixes: 1,
             threads: 8,
-            sim_workers: 0,
             sampling: None,
         };
         let mut rethreaded = scale;

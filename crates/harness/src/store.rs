@@ -17,14 +17,10 @@
 //! layer queries. Version-1 records (`{"cell": {"fingerprint", "result"}}`)
 //! still parse, upgrading into legacy-tagged rows with empty identity.
 //!
-//! The fingerprint deliberately excludes the parallelism knobs
-//! (`parallel_cores` / `parallel_workers` / `parallel_epoch_cycles`): the
-//! epoch engine is bit-identical for every worker count by construction, so a
-//! result simulated with 4 intra-sim workers answers a single-threaded
-//! request for the same cell. It deliberately *includes* the crate version:
-//! a simulator change invalidates old results by changing the key, never by
-//! rewriting the file — [`ResultStore::gc`] is how superseded versions are
-//! eventually reclaimed.
+//! The fingerprint deliberately *includes* the [`code_version`]: a simulator
+//! change invalidates old results by changing the key, never by rewriting
+//! the file — [`ResultStore::gc`] is how superseded versions are eventually
+//! reclaimed.
 
 use crate::error::HarnessError;
 use crate::journal::fnv1a;
@@ -44,10 +40,17 @@ const STORE_MIN_VERSION: u64 = 1;
 /// File name inside the store directory.
 pub const STORE_FILE: &str = "results.jsonl";
 
-/// The crate version participating in every [`cell_fingerprint`], so results
-/// simulated by older code are never served for newer code (or vice versa).
+/// The code version participating in every [`cell_fingerprint`] and
+/// [`crate::journal::campaign_fingerprint`], so results simulated by older
+/// code are never served or resumed for newer code (or vice versa).
+///
+/// It is the crate version plus a trailing model-revision segment, raised
+/// whenever simulated results change while the crate version stays put.
+/// Revision 1 is multi-core simulation on the exact cycle-interleaved
+/// machine. [`compare_versions`] sorts `0.1.0.1` after `0.1.0`, so
+/// `store gc --keep-versions 1` drops the superseded rows.
 pub fn code_version() -> &'static str {
-    env!("CARGO_PKG_VERSION")
+    concat!(env!("CARGO_PKG_VERSION"), ".1")
 }
 
 /// Orders version strings by their dotted numeric segments (`0.10.0` after
@@ -77,12 +80,9 @@ pub fn compare_versions(a: &str, b: &str) -> std::cmp::Ordering {
 /// Content address of one simulation cell, rendered as 16 hex digits.
 ///
 /// The identity is `(code version, target key, prefetcher selection,
-/// normalized config, accesses per workload)`. The config is normalized by
-/// zeroing the parallelism knobs — they never change results (bit-identity
-/// for any worker count is a tested guarantee of the epoch engine) — and
-/// hashed through its `Debug` rendering, which is stable within one crate
-/// version; `code_version()` in the identity covers renderings drifting
-/// *across* versions.
+/// config, accesses per workload)`. The config is hashed through its `Debug`
+/// rendering, which is stable within one code version; `code_version()` in
+/// the identity covers renderings drifting *across* versions.
 pub fn cell_fingerprint(
     target_key: &str,
     prefetcher: &str,
@@ -102,12 +102,8 @@ pub fn cell_fingerprint_sampled(
     accesses_per_workload: usize,
     sampling: Option<&crate::sampling::SamplingPlan>,
 ) -> String {
-    let mut normalized = config.clone();
-    normalized.parallel_cores = false;
-    normalized.parallel_workers = 0;
-    normalized.parallel_epoch_cycles = 0;
     let mut identity = format!(
-        "v{}|{target_key}|{prefetcher}|{normalized:?}|a{accesses_per_workload}",
+        "v{}|{target_key}|{prefetcher}|{config:?}|a{accesses_per_workload}",
         code_version()
     );
     if let Some(plan) = sampling {
@@ -601,18 +597,10 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_parallel_knobs_but_not_the_rest() {
+    fn fingerprint_separates_every_identity_field() {
         let base = SystemConfig::single_thread();
         let fp = cell_fingerprint("w:x", "Kind(Dspatch)", &base, 1000);
-        let mut parallel = base.clone();
-        parallel.parallel_cores = true;
-        parallel.parallel_workers = 4;
-        parallel.parallel_epoch_cycles = 5000;
-        // Worker-count knobs never change results, so they share an address.
-        assert_eq!(
-            fp,
-            cell_fingerprint("w:x", "Kind(Dspatch)", &parallel, 1000)
-        );
+        assert_eq!(fp, cell_fingerprint("w:x", "Kind(Dspatch)", &base, 1000));
         let mut other = base.clone();
         other.prefetch_mshrs += 1;
         assert_ne!(fp, cell_fingerprint("w:x", "Kind(Dspatch)", &other, 1000));

@@ -94,8 +94,7 @@ impl<V: Copy> LineTable<V> {
     }
 
     /// Removes every entry, keeping the allocated capacity. O(capacity);
-    /// used by the epoch engine to reset its per-epoch LLC overlay, whose
-    /// capacity stays small and steady.
+    /// used to drop in-flight fills at a sampling-interval boundary.
     pub fn clear(&mut self) {
         self.keys.fill(EMPTY);
         self.len = 0;

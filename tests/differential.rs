@@ -305,50 +305,64 @@ fn stream_prefetcher_golden_requests() {
 /// The cycle-skip fast-forward must be *exact*: a machine with
 /// `cycle_skipping` disabled steps every cycle through the reference loop,
 /// and the entire `SimResult` — instruction counts, finish cycles, total
-/// cycles, every cache/DRAM/pollution statistic — must be bit-identical.
+/// cycles, every cache/DRAM/pollution statistic — must be bit-identical. The
+/// inputs are single cores and 4-core mixes, whose cores contend for the
+/// shared LLC, in-flight fills and DRAM.
 mod cycle_skip {
     use super::*;
     use dspatch_prefetchers::lineup;
     use dspatch_sim::{SimResult, SimulationBuilder, SystemConfig};
     use dspatch_trace::{Trace, TraceRecord};
 
-    fn run(records: Vec<TraceRecord>, skipping: bool, prefetch: bool) -> SimResult {
-        let mut config = SystemConfig::single_thread();
-        config.cycle_skipping = skipping;
-        let prefetcher: Box<dyn Prefetcher> = if prefetch {
-            lineup::dspatch_plus_spp()
+    fn run(traces: &[Vec<TraceRecord>], skipping: bool, prefetch: bool) -> SimResult {
+        let mut config = if traces.len() > 1 {
+            SystemConfig::multi_programmed()
         } else {
-            Box::new(dspatch_types::NullPrefetcher::new())
+            SystemConfig::single_thread()
         };
-        SimulationBuilder::new(config)
-            .with_core(Trace::new("skip-diff", records), prefetcher)
-            .run()
+        config.cycle_skipping = skipping;
+        let mut builder = SimulationBuilder::new(config);
+        for records in traces {
+            let prefetcher: Box<dyn Prefetcher> = if prefetch {
+                lineup::dspatch_plus_spp()
+            } else {
+                Box::new(dspatch_types::NullPrefetcher::new())
+            };
+            builder = builder.with_core(Trace::new("skip-diff", records.clone()), prefetcher);
+        }
+        builder.run()
+    }
+
+    fn trace_strategy() -> impl Strategy<Value = Vec<TraceRecord>> {
+        proptest::collection::vec((0u64..256, 0u64..64, 0u32..80, any::<bool>()), 1..250).prop_map(
+            |accesses| {
+                accesses
+                    .iter()
+                    .map(|&(page, offset, gap, dependent)| {
+                        let mut record =
+                            TraceRecord::load(0x400, page * 4096 + offset * 64).with_gap(gap);
+                        if dependent {
+                            record = record.with_dependent(true);
+                        }
+                        record
+                    })
+                    .collect()
+            },
+        )
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
+        #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
         fn skipped_run_is_bit_identical_to_cycle_by_cycle(
-            accesses in proptest::collection::vec(
-                (0u64..256, 0u64..64, 0u32..80, any::<bool>()),
-                1..250,
-            ),
+            traces in proptest::collection::vec(trace_strategy(), 4),
+            mix in any::<bool>(),
             prefetch in any::<bool>(),
         ) {
-            let records: Vec<TraceRecord> = accesses
-                .iter()
-                .map(|&(page, offset, gap, dependent)| {
-                    let mut record = TraceRecord::load(0x400, page * 4096 + offset * 64)
-                        .with_gap(gap);
-                    if dependent {
-                        record = record.with_dependent(true);
-                    }
-                    record
-                })
-                .collect();
-            let skipped = run(records.clone(), true, prefetch);
-            let reference = run(records, false, prefetch);
+            let cores = if mix { &traces[..] } else { &traces[..1] };
+            let skipped = run(cores, true, prefetch);
+            let reference = run(cores, false, prefetch);
             prop_assert_eq!(skipped, reference);
         }
     }

@@ -91,6 +91,37 @@ fn misplaced_flags_are_usage_errors_not_silently_ignored() {
 }
 
 #[test]
+fn removed_multi_core_worker_knobs_fail_loudly() {
+    // Multi-core simulations run single-threaded on the exact machine, so
+    // the old per-simulation worker flag is an unknown argument (exit 2)...
+    let (code, stderr) = dspatch_lab_fails(&["--figure", "table1", "--parallel-cores", "2"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains("unknown argument: --parallel-cores"),
+        "{stderr}"
+    );
+    // ...and a spec asking for intra-simulation workers is invalid (exit 3).
+    let spec = r#"{
+        "name": "workers",
+        "scale": {"accesses_per_workload": 500, "workloads_per_category": 1, "mixes": 1, "sim_workers": 2},
+        "cells": [{
+            "label": "mixes",
+            "targets": {"homogeneous_mixes": {"cores": 4}},
+            "prefetchers": ["dspatch_plus_spp"],
+            "config": {"base": "multi_programmed"},
+            "baseline": true
+        }]
+    }"#;
+    let dir = std::env::temp_dir().join("dspatch-lab-cli-sim-workers");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("spec.json");
+    std::fs::write(&path, spec).expect("write spec");
+    let (code, stderr) = dspatch_lab_fails(&["--spec", path.to_str().expect("utf-8 path")]);
+    assert_eq!(code, 3, "{stderr}");
+    assert!(stderr.contains("unknown key 'sim_workers'"), "{stderr}");
+}
+
+#[test]
 fn runs_a_paper_figure_in_every_format() {
     // Table 1 and Figure 11 need no simulation, keeping the test quick while
     // still exercising the figure registry end to end.

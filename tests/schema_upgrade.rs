@@ -7,10 +7,18 @@
 //! readers load them through the `ResultRow` upgrade path and that the
 //! result payloads re-render **bit-for-bit** — if a serializer change ever
 //! breaks compatibility with shipped files, these fail first.
+//!
+//! The `*_mix_0.1.0.jsonl` fixtures are a store and a journal written by
+//! code version `0.1.0` for one 4-core mix, before multi-core simulations
+//! ran on the exact cycle-interleaved machine. Their results are from a
+//! different model, so they must never be served or resumed.
 
+use dspatch_harness::campaign::{run_campaign_with, ExecOptions};
 use dspatch_harness::journal::{read_journal, sim_result_to_json, JournalMeta};
-use dspatch_harness::{Json, ResultRow, ResultStore};
+use dspatch_harness::store::code_version;
+use dspatch_harness::{CampaignSpec, HarnessError, Json, ResultRow, ResultStore, RunScale};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -176,4 +184,80 @@ fn journal_v1_torn_tail_is_tolerated() {
     // Clean prefix = meta line + first complete record (with newlines).
     let clean: u64 = text.lines().take(2).map(|line| line.len() as u64 + 1).sum();
     assert_eq!(contents.clean_len, clean);
+}
+
+/// The campaign both `*_mix_0.1.0.jsonl` fixtures were written for.
+const MIX_SPEC: &str = r#"{
+  "name": "multi-core store fixture",
+  "scale": {"accesses_per_workload": 400, "workloads_per_category": 1, "mixes": 1, "threads": 1},
+  "cells": [{
+    "label": "mix",
+    "targets": {"homogeneous_mixes": {"cores": 4}},
+    "prefetchers": ["dspatch_plus_spp"],
+    "config": {"base": "multi_programmed"},
+    "baseline": true
+  }]
+}"#;
+
+fn mix_campaign() -> (CampaignSpec, RunScale) {
+    let spec = CampaignSpec::parse(MIX_SPEC).expect("fixture spec parses");
+    let scale = spec
+        .scale
+        .as_ref()
+        .expect("fixture spec carries a scale")
+        .resolve()
+        .expect("fixture scale resolves");
+    (spec, scale)
+}
+
+#[test]
+fn multi_core_rows_from_code_0_1_0_are_misses_and_gc_drops_them() {
+    let dir = install_store("mix-0.1.0", "store_v2_mix_0.1.0.jsonl");
+    let store = ResultStore::open(&dir).expect("0.1.0 store opens");
+    assert_eq!(store.len(), 2, "baseline and DSPatch+SPP rows load");
+    assert!(store
+        .rows()
+        .all(|row| row.code_version == "0.1.0" && row.config == "4P"));
+    let shared = Arc::new(Mutex::new(store));
+
+    let (spec, scale) = mix_campaign();
+    let opts = ExecOptions {
+        store: Some(Arc::clone(&shared)),
+        ..ExecOptions::default()
+    };
+    let result = run_campaign_with(&spec, &scale, &opts).expect("campaign runs");
+    assert_eq!(result.stats.store_hits, 0, "0.1.0 rows must not be served");
+    assert_eq!(result.stats.sims_run, 2);
+
+    let mut store = shared.lock().expect("store lock");
+    assert_eq!(store.len(), 4, "fresh rows land beside the old ones");
+    let gc = store.gc(1).expect("gc");
+    assert_eq!((gc.kept, gc.dropped), (2, 2));
+    assert!(store.rows().all(|row| row.code_version == code_version()));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn journal_from_code_0_1_0_fails_resume_with_mismatch() {
+    let dir = scratch("journal-mix-0.1.0");
+    let path = dir.join("run.journal");
+    std::fs::copy(fixture("journal_v2_mix_0.1.0.jsonl"), &path).expect("install fixture");
+    let (spec, scale) = mix_campaign();
+    let opts = ExecOptions {
+        journal: Some(path),
+        resume: true,
+        ..ExecOptions::default()
+    };
+    let error = run_campaign_with(&spec, &scale, &opts).expect_err("resume must refuse");
+    assert!(
+        matches!(
+            error,
+            HarnessError::Mismatch {
+                field: "fingerprint",
+                ..
+            }
+        ),
+        "{error:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
