@@ -1610,6 +1610,54 @@ mod tests {
     }
 
     #[test]
+    fn cycle_skipping_does_not_change_multi_core_results() {
+        use dspatch_trace::PointerChaseGen;
+        // A heterogeneous 4-core mix: two streamers, a spatial workload and a
+        // pointer chase, under three different prefetchers.
+        let run = |skipping: bool| {
+            let mut config = SystemConfig::multi_programmed();
+            config.cycle_skipping = skipping;
+            let stream = |seed: u64| {
+                Trace::new(
+                    format!("stream-{seed}"),
+                    StreamGen {
+                        streams: 2,
+                        gap: 40,
+                        store_percent: 10,
+                    }
+                    .generate_records(seed, 700),
+                )
+            };
+            let spatial = Trace::new(
+                "spatial",
+                SpatialPatternGen::default().generate_records(7, 700),
+            );
+            let chase = Trace::new(
+                "chase",
+                PointerChaseGen {
+                    nodes: 1 << 14,
+                    node_bytes: 192,
+                    gap: 12,
+                }
+                .generate_records(9, 700),
+            );
+            SimulationBuilder::new(config)
+                .with_core(stream(1), StreamPrefetcher::new(StreamConfig::default()))
+                .with_core(stream(2), NullPrefetcher::new())
+                .with_core(
+                    spatial,
+                    StreamPrefetcher::new(StreamConfig {
+                        degree: 8,
+                        ..StreamConfig::default()
+                    }),
+                )
+                .with_core(chase, NullPrefetcher::new())
+                .run()
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
     fn sharing_dram_slows_cores_down() {
         // The same workload on a 4-core system with shared channels should
         // achieve lower per-core IPC than alone on the single-thread system
