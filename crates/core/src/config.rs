@@ -1,13 +1,12 @@
 //! Configuration of the DSPatch prefetcher.
 
 use dspatch_types::BandwidthQuartile;
-use serde::{Deserialize, Serialize};
 
 /// Which bit-pattern the run-time selection logic is allowed to use.
 ///
 /// [`SelectionPolicy::Full`] is the paper's DSPatch; the other two variants
 /// reproduce the ablation of Section 5.5 / Figure 19.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SelectionPolicy {
     /// The full algorithm of Figure 10: choose between `CovP`, `AccP` and
     /// no-prefetch based on bandwidth utilization and the measure counters.
@@ -40,7 +39,7 @@ pub enum SelectionPolicy {
 /// };
 /// assert_ne!(ablation.policy, cfg.policy);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DsPatchConfig {
     /// Number of Page Buffer entries (paper: 64, tracking the 64
     /// most-recently-accessed 4 KB pages).

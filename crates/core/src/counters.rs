@@ -5,7 +5,6 @@
 //! of OR modulations with another 2-bit counter (`OrCount`). A generic
 //! [`SaturatingCounter`] covers all three.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An unsigned saturating counter with a configurable maximum value.
@@ -24,7 +23,7 @@ use std::fmt;
 /// c.decrement();
 /// assert_eq!(c.value(), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SaturatingCounter {
     value: u8,
     max: u8,

@@ -14,7 +14,6 @@
 
 use crate::pattern::{CompressedPattern, SpatialPattern};
 use dspatch_types::BandwidthQuartile;
-use serde::{Deserialize, Serialize};
 
 /// Quantizes `numerator / denominator` into a quartile without dividing,
 /// mirroring the shift-and-compare hardware of Figure 8. A zero denominator
@@ -53,7 +52,7 @@ pub fn quantize_fraction(numerator: u32, denominator: u32) -> BandwidthQuartile 
 /// assert_eq!(q.accuracy, BandwidthQuartile::Q2); // 60% -> 50-75%
 /// assert_eq!(q.coverage, BandwidthQuartile::Q1); // 37.5% -> 25-50%
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PredictionQuality {
     /// Quantized `Cacc / Cpred`.
     pub accuracy: BandwidthQuartile,

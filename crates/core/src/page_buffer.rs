@@ -13,13 +13,12 @@
 use crate::pattern::SpatialPattern;
 use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{PageAddr, Pc, LINES_PER_PAGE, LINES_PER_SEGMENT};
-use serde::{Deserialize, Serialize};
 
 /// Number of 2 KB segments in a 4 KB page (and of triggers per PB entry).
 pub const SEGMENTS_PER_PAGE: usize = LINES_PER_PAGE / LINES_PER_SEGMENT;
 
 /// One recorded prefetch trigger: the first access to a 2 KB segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TriggerInfo {
     /// PC of the trigger access.
     pub pc: Pc,
@@ -30,7 +29,7 @@ pub struct TriggerInfo {
 }
 
 /// One Page Buffer entry: a tracked 4 KB page.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageBufferEntry {
     /// The tracked physical page.
     pub page: PageAddr,
@@ -95,7 +94,7 @@ pub struct RecordOutcome {
 /// let third = pb.record_access(PageAddr::new(3), 0, Pc::new(0xc));
 /// assert_eq!(third.evicted.unwrap().page, PageAddr::new(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageBuffer {
     entries: Vec<PageBufferEntry>,
     /// Shadow array of `entries[i].page` raw values. The per-access lookup

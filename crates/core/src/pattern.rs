@@ -11,7 +11,6 @@
 //! lines, halving storage at a small accuracy cost (paper, Section 3.8).
 
 use dspatch_types::LINES_PER_PAGE;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{BitAnd, BitOr};
 
@@ -36,7 +35,7 @@ pub const COMPRESSED_BITS: usize = LINES_PER_PAGE / 2;
 /// assert!(anchored.get(0) && anchored.get(7));
 /// assert_eq!(anchored.unanchor(3), p);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SpatialPattern(u64);
 
 impl SpatialPattern {
@@ -206,7 +205,7 @@ impl fmt::Binary for SpatialPattern {
 /// let d = c.decompress();
 /// assert!(d.get(0) && d.get(1) && d.get(4) && d.get(5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CompressedPattern(u32);
 
 impl CompressedPattern {

@@ -12,11 +12,10 @@ use dspatch_types::{
     BandwidthQuartile, FillLevel, MemoryAccess, PrefetchContext, PrefetchRequest, PrefetchSink,
     Prefetcher, LINES_PER_PAGE,
 };
-use serde::{Deserialize, Serialize};
 
 /// Aggregate statistics the prefetcher keeps about its own decisions.
 /// These are observability counters, not architectural state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DsPatchStats {
     /// Accesses observed (L1 misses forwarded by the hierarchy).
     pub accesses: u64,
@@ -39,7 +38,7 @@ pub struct DsPatchStats {
 /// The Dual Spatial Pattern Prefetcher.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DsPatch {
     config: DsPatchConfig,
     page_buffer: PageBuffer,

@@ -4,11 +4,10 @@
 use crate::config::SelectionPolicy;
 use crate::counters::SaturatingCounter;
 use dspatch_types::BandwidthQuartile;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The pattern (if any) chosen to generate prefetches for one trigger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PatternChoice {
     /// Prefetch with the coverage-biased pattern `CovP`.
     Coverage {

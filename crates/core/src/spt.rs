@@ -13,7 +13,6 @@ use crate::pattern::{CompressedPattern, SpatialPattern, COMPRESSED_BITS};
 use crate::selection::{select_pattern, PatternChoice};
 use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{BandwidthQuartile, Pc};
-use serde::{Deserialize, Serialize};
 
 /// Number of 2 KB halves of an (anchored) 4 KB pattern.
 pub const PATTERN_HALVES: usize = 2;
@@ -21,7 +20,7 @@ pub const PATTERN_HALVES: usize = 2;
 pub const BLOCKS_PER_HALF: usize = COMPRESSED_BITS / PATTERN_HALVES;
 
 /// A prediction produced by one SPT entry for one trigger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SptPrediction {
     /// Anchored line-granularity pattern to prefetch (bit 0 = the trigger
     /// line itself).
@@ -34,7 +33,7 @@ pub struct SptPrediction {
 }
 
 /// One SPT entry: the learnt state for one trigger-PC signature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SptEntry {
     /// Coverage-biased pattern (anchored, 128 B granularity, 32 bits).
     pub cov_p: CompressedPattern,
@@ -247,7 +246,7 @@ impl SptEntry {
 ///     .expect("trained signature should predict");
 /// assert!(prediction.anchored.popcount() >= 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignaturePredictionTable {
     entries: Vec<SptEntry>,
     signature_bits: u32,

@@ -15,11 +15,10 @@ use crate::config::DsPatchConfig;
 use crate::page_buffer::SEGMENTS_PER_PAGE;
 use crate::spt::PATTERN_HALVES;
 use dspatch_types::LINES_PER_PAGE;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Storage of the two DSPatch structures, in bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StorageBreakdown {
     /// Bits of one Page Buffer entry.
     pub pb_entry_bits: u64,

@@ -29,14 +29,14 @@
 //! [`crate::error::HarnessError`] taxonomy, transient failures retry with a
 //! bounded deterministic backoff ([`RetryPolicy`]), and cells that exhaust
 //! their budget are **quarantined** as [`CellFailure`]s on the result
-//! instead of sinking the whole campaign. With [`ExecOptions::journal`] set,
-//! each completed cell is appended to a crash-safe JSON-lines journal
-//! ([`crate::journal`]) and a resumed campaign re-executes only the missing
-//! cells, producing bit-identical output to an uninterrupted run.
+//! instead of sinking the whole campaign. With [`ExecOptions::store`] set,
+//! each completed cell is appended to the crash-safe, content-addressed
+//! result store ([`crate::store`]); re-running a killed campaign against the
+//! same store re-executes only the missing cells, producing bit-identical
+//! output to an uninterrupted run.
 
 use crate::error::HarnessError;
 use crate::faults::{FaultKind, FaultPlan};
-use crate::journal::{campaign_fingerprint, read_journal, JournalMeta, JournalWriter};
 use crate::json::Json;
 use crate::report::{percent, Table};
 use crate::results::ResultRow;
@@ -47,7 +47,6 @@ use dspatch_sim::{DramSpeedGrade, SimResult, SimulationBuilder, SystemConfig};
 use dspatch_trace::workloads::{category_suite, memory_intensive_suite, suite, WorkloadCategory};
 use dspatch_trace::{heterogeneous_mixes, homogeneous_mixes, WorkloadMix, WorkloadSpec};
 use dspatch_types::Prefetcher;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -72,7 +71,7 @@ fn reject_unknown_keys(json: &Json, allowed: &[&str], context: &str) -> Result<(
 
 /// A prefetcher selection for one campaign column: either one of the named
 /// paper configurations or a parameterized variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefetcherSel {
     /// One of the paper's named prefetcher configurations.
     Kind(PrefetcherKind),
@@ -163,7 +162,7 @@ impl From<PrefetcherKind> for PrefetcherSel {
 }
 
 /// The base system configuration a cell starts from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConfigBase {
     /// [`SystemConfig::single_thread`]: 1 core, 2 MB LLC, 1× DDR4-2133.
     SingleThread,
@@ -175,7 +174,7 @@ pub enum ConfigBase {
 /// overrides the paper's figures use (DRAM geometry, LLC capacity). The
 /// executor keys baseline memoization on this, so two cells asking for the
 /// same variant share every simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConfigSpec {
     /// Base configuration.
     pub base: ConfigBase,
@@ -339,7 +338,7 @@ fn parse_category(label: &str) -> Result<WorkloadCategory, String> {
 
 /// Selects the targets (workloads or mixes) of one cell. Group selectors
 /// honour the [`RunScale`] caps; explicit name lists do not.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TargetSelector {
     /// Explicit workloads by suite name (no scale cap applied).
     Workloads(Vec<String>),
@@ -543,7 +542,7 @@ impl TargetSelector {
 }
 
 /// One cell of the campaign grid: targets × prefetchers under one config.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     /// Cell label, used as the first table column (e.g. a category name).
     pub label: String,
@@ -624,7 +623,7 @@ impl CellSpec {
 }
 
 /// The run scale carried by a spec file: a named preset or explicit knobs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScaleSpec {
     /// One of "smoke", "quick" or "full".
     Preset(String),
@@ -797,7 +796,7 @@ fn sampling_plan_from_json(json: &Json) -> Result<SamplingPlan, String> {
 }
 
 /// A complete campaign description, loadable from a JSON spec file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Campaign name, used as the report title.
     pub name: String,
@@ -965,12 +964,12 @@ pub struct ResolvedCell {
 /// Only the spec-deterministic fields (`sims_run`, `baseline_sims`,
 /// `memo_hits`, `threads`) appear in [`CampaignResult::to_json`]; the
 /// robustness counters below them describe *how* this particular run went
-/// (journal hits, store hits, retries, quarantines) and are deliberately
-/// excluded so a resumed or store-served campaign renders bit-identically
-/// to an uninterrupted, cold-cache one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// (store hits, retries, quarantines) and are deliberately excluded so a
+/// resumed or store-served campaign renders bit-identically to an
+/// uninterrupted, cold-cache one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Deduplicated simulations with a result (fresh or journal-replayed).
+    /// Deduplicated simulations with a result (fresh or store-served).
     pub sims_run: usize,
     /// How many of those were no-L2-prefetcher baselines.
     pub baseline_sims: usize,
@@ -979,8 +978,6 @@ pub struct ExecStats {
     pub memo_hits: usize,
     /// Worker threads used.
     pub threads: usize,
-    /// Simulations replayed from a resume journal instead of re-executing.
-    pub journal_hits: usize,
     /// Simulations served from the content-addressed [`crate::store`]
     /// instead of re-executing (cross-campaign, cross-process memoization).
     pub store_hits: usize,
@@ -1016,7 +1013,7 @@ pub struct CampaignRow {
 /// campaign completed without it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellFailure {
-    /// The executor's job key (also the journal key).
+    /// The executor's job key.
     pub key: String,
     /// Target (workload or mix) name.
     pub target: String,
@@ -1293,8 +1290,6 @@ impl RetryPolicy {
 pub enum CellOutcome {
     /// Freshly simulated this run.
     Fresh,
-    /// Replayed from the campaign's resume journal.
-    Journal,
     /// Served from the content-addressed result store.
     Store,
     /// Quarantined after exhausting its retry budget.
@@ -1306,7 +1301,6 @@ impl CellOutcome {
     pub fn label(self) -> &'static str {
         match self {
             CellOutcome::Fresh => "fresh",
-            CellOutcome::Journal => "journal",
             CellOutcome::Store => "store",
             CellOutcome::Quarantined => "quarantined",
         }
@@ -1314,17 +1308,17 @@ impl CellOutcome {
 }
 
 /// One executor progress notification, delivered through
-/// [`ExecOptions::progress`]. Cached cells (journal or store hits) are
+/// [`ExecOptions::progress`]. Cached cells (store hits) are
 /// announced up-front, before the worker pool starts; fresh and quarantined
 /// cells as they finish.
 #[derive(Debug, Clone)]
 pub enum ProgressEvent {
     /// The grid is resolved: `total` deduplicated jobs, of which `cached`
-    /// were satisfied by the journal or store before any worker started.
+    /// were served from the store before any worker started.
     Started {
         /// Deduplicated job count.
         total: usize,
-        /// Jobs already satisfied from the journal or store.
+        /// Jobs already served from the store.
         cached: usize,
     },
     /// One job finished (or was served from a cache).
@@ -1362,25 +1356,21 @@ pub type ProgressSink = std::sync::Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
 pub type SharedStore = std::sync::Arc<Mutex<crate::store::ResultStore>>;
 
 /// Execution options for [`run_campaign_with`]: retry budget, optional
-/// fault injection, optional crash-safe journaling, optional durable result
-/// store, optional progress callbacks.
+/// fault injection, optional durable result store, optional progress
+/// callbacks.
 #[derive(Clone, Default)]
 pub struct ExecOptions {
     /// Retry budget per cell.
     pub retry: RetryPolicy,
     /// Deterministic fault injection (tests only; `None` in production).
     pub faults: Option<FaultPlan>,
-    /// Journal file: every completed cell is appended (and flushed) here.
-    pub journal: Option<PathBuf>,
-    /// With `journal` set: replay completed cells from an existing journal
-    /// instead of re-executing them. A missing or empty journal file starts
-    /// fresh, so `resume` is safe to pass unconditionally.
-    pub resume: bool,
     /// Content-addressed durable store: cells whose
     /// [`crate::store::cell_fingerprint`] is present are served from it
     /// (counted in [`ExecStats::store_hits`]), and every fresh result is
-    /// appended to it — so identical cells never simulate twice across
-    /// campaigns, requests, or process restarts.
+    /// appended (and flushed) to it as soon as it finishes — so identical
+    /// cells never simulate twice across campaigns, requests, or process
+    /// restarts, and a killed campaign resumes by re-running it against
+    /// the same store.
     pub store: Option<SharedStore>,
     /// Progress callback; see [`ProgressEvent`].
     pub progress: Option<ProgressSink>,
@@ -1395,8 +1385,6 @@ impl std::fmt::Debug for ExecOptions {
         f.debug_struct("ExecOptions")
             .field("retry", &self.retry)
             .field("faults", &self.faults)
-            .field("journal", &self.journal)
-            .field("resume", &self.resume)
             .field("store", &self.store.as_ref().map(|_| "<store>"))
             .field("progress", &self.progress.as_ref().map(|_| "<sink>"))
             .field("checkpoint_dir", &self.checkpoint_dir)
@@ -1405,7 +1393,7 @@ impl std::fmt::Debug for ExecOptions {
 }
 
 struct Job {
-    /// Memoization identity; doubles as the journal key.
+    /// Memoization identity.
     key: String,
     /// Content address in the durable store ([`crate::store::cell_fingerprint`]).
     fingerprint: String,
@@ -1474,15 +1462,14 @@ pub fn run_campaign(spec: &CampaignSpec, scale: &RunScale) -> Result<CampaignRes
 }
 
 /// [`run_campaign`] with explicit execution options: retry policy, fault
-/// injection, and crash-safe journaling/resume.
+/// injection, and the durable result store.
 ///
 /// # Errors
 ///
 /// * [`HarnessError::Spec`] — the spec is invalid (unknown workloads,
 ///   duplicate labels, core-count mismatches, ...).
-/// * [`HarnessError::Io`] / [`HarnessError::Corrupt`] /
-///   [`HarnessError::Mismatch`] — the journal cannot be written, is
-///   damaged mid-file, or belongs to a different campaign.
+/// * [`HarnessError::Io`] — a fresh result cannot be appended to the
+///   store, or a warm-up checkpoint cannot be written.
 ///
 /// Quarantined cells are **not** errors: the campaign completes and reports
 /// them in [`CampaignResult::failures`].
@@ -1492,14 +1479,7 @@ pub fn run_campaign_with(
     opts: &ExecOptions,
 ) -> Result<CampaignResult, HarnessError> {
     let cells = resolve_cells(spec, scale).map_err(HarnessError::spec)?;
-    let journal = opts.journal.as_ref().map(|path| {
-        let meta = JournalMeta {
-            campaign: spec.name.clone(),
-            fingerprint: campaign_fingerprint(&spec.to_json(), scale),
-        };
-        (path.clone(), meta)
-    });
-    execute_cells(&spec.name, &cells, scale, opts, journal)
+    execute_cells(&spec.name, &cells, scale, opts)
 }
 
 /// Validates a spec and resolves its cells against the workload suite.
@@ -1603,16 +1583,16 @@ fn resolve_cells(spec: &CampaignSpec, scale: &RunScale) -> Result<Vec<ResolvedCe
 /// silently pool unrelated cells. (Spec files get the same condition as a
 /// clean error from [`run_campaign`] before any work happens.)
 pub fn run_cells(name: &str, cells: &[ResolvedCell], scale: &RunScale) -> CampaignResult {
-    match execute_cells(name, cells, scale, &ExecOptions::default(), None) {
+    match execute_cells(name, cells, scale, &ExecOptions::default()) {
         Ok(result) => result,
-        // The default options configure no journal, so no fallible I/O path
+        // The default options configure no store, so no fallible I/O path
         // exists; cell failures surface as quarantines, not errors.
-        Err(error) => unreachable!("journal-less execution cannot fail: {error}"),
+        Err(error) => unreachable!("store-less execution cannot fail: {error}"),
     }
 }
 
 /// Locks a mutex, recovering the guard if a panicking thread poisoned it —
-/// the executor's shared state (journal handle, first-error slot) stays
+/// the executor's shared state (store handle, first-error slot) stays
 /// usable because every write through it is a single self-contained record.
 fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
@@ -1752,7 +1732,6 @@ fn execute_cells(
     cells: &[ResolvedCell],
     scale: &RunScale,
     opts: &ExecOptions,
-    journal: Option<(PathBuf, JournalMeta)>,
 ) -> Result<CampaignResult, HarnessError> {
     let mut labels = std::collections::HashSet::new();
     for cell in cells {
@@ -1832,9 +1811,9 @@ fn execute_cells(
         }
     }
 
-    // Every persisted record — journal line, store row — carries the cell's
-    // identity spelled out as one canonical ResultRow, so the analytics
-    // layer can filter and group without re-deriving anything.
+    // Every store row carries the cell's identity spelled out as one
+    // canonical ResultRow, so the analytics layer can filter and group
+    // without re-deriving anything.
     let sampling_suffix = scale
         .sampling
         .as_ref()
@@ -1853,66 +1832,19 @@ fn execute_cells(
         )
     };
 
-    // Journal replay: completed cells load from the verified journal and
-    // never re-execute. A missing (or not-yet-written) journal starts fresh
-    // so `resume: true` is safe on the first run too.
-    let mut replayed: Vec<Option<SimResult>> = Vec::new();
-    replayed.resize_with(jobs.len(), || None);
-    let mut journal_hits = 0usize;
-    let writer = match &journal {
-        None => None,
-        Some((path, meta)) => {
-            let resumable = opts.resume && path.exists();
-            let clean_len = if resumable {
-                let contents = read_journal(path, meta)?;
-                for (slot, job) in replayed.iter_mut().zip(&jobs) {
-                    if let Some(sim) = contents.sims.get(&job.key) {
-                        *slot = Some(sim.clone());
-                        journal_hits += 1;
-                    }
-                }
-                contents.clean_len
-            } else {
-                0
-            };
-            if clean_len == 0 {
-                Some(JournalWriter::create(path, meta)?)
-            } else {
-                Some(JournalWriter::resume(path, clean_len)?)
-            }
+    // Store replay: cells already simulated by any prior campaign — an
+    // earlier, killed run of this one, another request's grid or a previous
+    // process incarnation's — load from the content-addressed store and
+    // never re-execute.
+    let replayed: Vec<Option<SimResult>> = match &opts.store {
+        Some(shared) => {
+            let store = lock_unpoisoned(shared);
+            jobs.iter()
+                .map(|job| store.get(&job.fingerprint).cloned())
+                .collect()
         }
+        None => vec![None; jobs.len()],
     };
-    let mut cached_outcome: Vec<Option<CellOutcome>> = replayed
-        .iter()
-        .map(|slot| slot.as_ref().map(|_| CellOutcome::Journal))
-        .collect();
-
-    // Store replay: cells already simulated by ANY prior campaign — this
-    // one's journal aside, another request's grid or a previous process
-    // incarnation's — load from the content-addressed store. Store-served
-    // cells are appended to the journal (if one is active) so its
-    // completeness guarantee holds, and journal-replayed cells are
-    // backfilled into the store so resumed campaigns populate it too.
-    let mut writer = writer;
-    let mut store_hits = 0usize;
-    if let Some(shared) = &opts.store {
-        let mut store = lock_unpoisoned(shared);
-        for (index, job) in jobs.iter().enumerate() {
-            if let Some(sim) = &replayed[index] {
-                store.insert(&row_of(job, sim))?;
-                continue;
-            }
-            let hit = store.get(&job.fingerprint).cloned();
-            if let Some(sim) = hit {
-                if let Some(writer) = writer.as_mut() {
-                    writer.append_sim(&job.key, &row_of(job, &sim), false)?;
-                }
-                replayed[index] = Some(sim);
-                cached_outcome[index] = Some(CellOutcome::Store);
-                store_hits += 1;
-            }
-        }
-    }
     let skip: Vec<bool> = replayed.iter().map(Option::is_some).collect();
 
     // Sampled scales: one neutral warm-up checkpoint per (target, config)
@@ -1979,30 +1911,26 @@ fn execute_cells(
         }
     }
 
-    // Progress: announce the resolved grid, then every cache-satisfied cell
+    // Progress: announce the resolved grid, then every store-served cell
     // (in job-discovery order) before the worker pool starts.
     let total_jobs = jobs.len();
-    let cached = skip.iter().filter(|&&hit| hit).count();
+    let store_hits = skip.iter().filter(|&&hit| hit).count();
     if let Some(sink) = &opts.progress {
         sink(&ProgressEvent::Started {
             total: total_jobs,
-            cached,
+            cached: store_hits,
         });
-        let mut announced = 0usize;
-        for (index, outcome) in cached_outcome.iter().enumerate() {
-            if let Some(outcome) = outcome {
-                announced += 1;
-                let job = &jobs[index];
-                sink(&ProgressEvent::CellFinished {
-                    key: job.key.clone(),
-                    target: job.target.name().to_owned(),
-                    prefetcher: job.sel.label(),
-                    config: job.config_label.clone(),
-                    outcome: *outcome,
-                    completed: announced,
-                    total: total_jobs,
-                });
-            }
+        let cached_jobs = jobs.iter().zip(&skip).filter(|(_, &hit)| hit);
+        for (announced, (job, _)) in cached_jobs.enumerate() {
+            sink(&ProgressEvent::CellFinished {
+                key: job.key.clone(),
+                target: job.target.name().to_owned(),
+                prefetcher: job.sel.label(),
+                config: job.config_label.clone(),
+                outcome: CellOutcome::Store,
+                completed: announced + 1,
+                total: total_jobs,
+            });
         }
     }
 
@@ -2015,8 +1943,7 @@ fn execute_cells(
     let cursor = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let retries = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(cached);
-    let journal_sink: Mutex<Option<JournalWriter>> = Mutex::new(writer);
+    let completed = AtomicUsize::new(store_hits);
     let write_error: Mutex<Option<HarnessError>> = Mutex::new(None);
 
     let mut slots: Vec<Option<Result<SimResult, Box<CellFailure>>>> = Vec::new();
@@ -2037,7 +1964,6 @@ fn execute_cells(
             let stop = &stop;
             let retries = &retries;
             let completed = &completed;
-            let journal_sink = &journal_sink;
             let write_error = &write_error;
             let row_of = &row_of;
             handles.push(scope.spawn(move || {
@@ -2056,34 +1982,13 @@ fn execute_cells(
                     }
                     let job = &jobs[index];
                     let outcome = run_job(job, scale, opts, retries);
-                    // One flushed journal record per completed cell: the
-                    // lock is taken after the (multi-second) simulation, so
-                    // it never serializes actual work. A write failure is
-                    // fatal for the campaign (the journal's guarantee is
-                    // gone) — record the first error, stop claiming jobs.
-                    let appended = match lock_unpoisoned(journal_sink).as_mut() {
-                        None => Ok(()),
-                        Some(writer) => match &outcome {
-                            Ok(sim) => {
-                                let corrupt = opts.faults.as_ref().is_some_and(|plan| {
-                                    plan.corrupts_journal(job.target.name(), &job.sel.label())
-                                });
-                                writer.append_sim(&job.key, &row_of(job, sim), corrupt)
-                            }
-                            Err(failure) => {
-                                writer.append_failure(&job.key, &failure.error, failure.attempts)
-                            }
-                        },
-                    };
-                    if let Err(error) = appended {
-                        lock_unpoisoned(write_error).get_or_insert(error);
-                        stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    // Durable store append: every fresh result becomes
-                    // addressable by all future campaigns. Like the journal,
-                    // a write failure voids the store's guarantee and is
-                    // fatal for the campaign.
+                    // Durable store append, one flushed record per fresh
+                    // result: it becomes addressable by all future campaigns
+                    // (a killed run's re-run included). The lock is taken
+                    // after the (multi-second) simulation, so it never
+                    // serializes actual work. A write failure voids the
+                    // store's guarantee and is fatal for the campaign —
+                    // record the first error, stop claiming jobs.
                     let stored = match (&opts.store, &outcome) {
                         (Some(shared), Ok(sim)) => lock_unpoisoned(shared)
                             .insert(&row_of(job, sim))
@@ -2194,7 +2099,6 @@ fn execute_cells(
             baseline_sims,
             memo_hits,
             threads,
-            journal_hits,
             store_hits,
             retries: retries.load(Ordering::Relaxed),
             quarantined: failures.len(),

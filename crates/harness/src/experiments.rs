@@ -21,7 +21,6 @@ use dspatch_sim::{DramConfig, DramSpeedGrade, SystemConfig};
 use dspatch_trace::workloads::{category_suite, suite, WorkloadCategory};
 use dspatch_trace::TraceSource;
 use dspatch_types::{Prefetcher, LINES_PER_PAGE};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 fn sels(kinds: &[PrefetcherKind]) -> Vec<PrefetcherSel> {
@@ -35,7 +34,7 @@ fn run_figure_spec(spec: &CampaignSpec, scale: &RunScale) -> CampaignResult {
 
 /// Performance of several prefetchers per workload category plus the
 /// geometric mean (the shape of Figures 4, 12, 14 and 17).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryPerformance {
     /// Figure name used as the table caption.
     pub figure: String,
@@ -153,7 +152,7 @@ pub fn fig14_adjuncts(scale: &RunScale) -> CategoryPerformance {
 }
 
 /// One point of a bandwidth-scaling sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthPoint {
     /// DRAM configuration label ("1ch-2133").
     pub dram: String,
@@ -164,7 +163,7 @@ pub struct BandwidthPoint {
 }
 
 /// A bandwidth-scaling sweep (Figures 1, 6 and 15).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthScaling {
     /// Figure name.
     pub figure: String,
@@ -291,7 +290,7 @@ pub fn fig15_bandwidth_scaling_dspatch(scale: &RunScale) -> BandwidthScaling {
 }
 
 /// Figure 5: SMS performance as its pattern-history table shrinks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmsStorageSweep {
     /// `(PHT entries, storage KB, performance delta over baseline)` rows.
     pub rows: Vec<(usize, f64, f64)>,
@@ -353,7 +352,7 @@ pub fn fig5_sms_storage_sweep(scale: &RunScale) -> SmsStorageSweep {
 
 /// Figure 11: delta-occurrence distribution and the misprediction rate
 /// induced by 128 B-granularity pattern compression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaCompressionStudy {
     /// Fraction of consecutive-access deltas equal to +1 or -1.
     pub plus_minus_one_fraction: f64,
@@ -457,7 +456,7 @@ pub fn fig11_delta_and_compression(scale: &RunScale) -> DeltaCompressionStudy {
 }
 
 /// Figure 13: per-workload speedups on the 42 memory-intensive workloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryIntensiveLine {
     /// Prefetchers plotted.
     pub kinds: Vec<PrefetcherKind>,
@@ -526,7 +525,7 @@ pub fn fig13_memory_intensive(scale: &RunScale) -> MemoryIntensiveLine {
 }
 
 /// Figure 16: covered / uncovered / mispredicted fractions of L2 accesses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoverageReport {
     /// `(category, prefetcher, covered, uncovered, mispredicted)` rows.
     pub rows: Vec<(String, PrefetcherKind, f64, f64, f64)>,
@@ -617,7 +616,7 @@ pub fn fig16_coverage(scale: &RunScale) -> CoverageReport {
 }
 
 /// Figures 17 and 18: multi-programmed performance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiProgrammedReport {
     /// `(configuration label, prefetcher, delta over baseline)` rows.
     pub rows: Vec<(String, PrefetcherKind, f64)>,
@@ -741,7 +740,7 @@ pub fn fig18_mixes_and_bandwidth(scale: &RunScale) -> MultiProgrammedReport {
 }
 
 /// Figure 19: the accuracy-biased-pattern ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationReport {
     /// `(variant, delta over baseline)` rows.
     pub rows: Vec<(PrefetcherKind, f64)>,
@@ -797,7 +796,7 @@ pub fn fig19_ablation(scale: &RunScale) -> AblationReport {
 }
 
 /// Figure 20: pollution caused by an aggressive, inaccurate streamer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PollutionReport {
     /// `(LLC size label, NoReuse, PrefetchedBeforeUse, BadPollution)` rows,
     /// fractions of all classified victims.

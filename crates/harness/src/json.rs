@@ -1,8 +1,8 @@
 //! The workspace's single JSON emitter and parser.
 //!
-//! The vendored `serde` is a no-op facade (see `vendor/serde`), so this
-//! module is the real serialization layer: a small ordered JSON document
-//! model with a pretty emitter and a strict parser. Everything in the
+//! The workspace depends on no serialization crate, so this module is the
+//! serialization layer: a small ordered JSON document model with a pretty
+//! emitter and a strict parser. Everything in the
 //! repository that produces or consumes JSON — [`crate::report::Table`],
 //! [`crate::campaign::CampaignSpec`] files, [`crate::campaign::CampaignResult`]
 //! reports and the `perf_snapshot` throughput document — goes through

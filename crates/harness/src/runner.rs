@@ -10,11 +10,10 @@ use dspatch_prefetchers::{
 use dspatch_sim::{SimResult, SimulationBuilder, SystemConfig};
 use dspatch_trace::{WorkloadMix, WorkloadSpec};
 use dspatch_types::Prefetcher;
-use serde::{Deserialize, Serialize};
 
 /// The prefetchers the paper's figures compare. Each variant builds a fresh
 /// prefetcher instance for one simulated core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefetcherKind {
     /// No L2 prefetcher (the baseline keeps only the L1 PC-stride prefetcher).
     Baseline,
@@ -176,7 +175,7 @@ impl PrefetcherKind {
 
 /// How much work an experiment does. Every figure function takes a scale so
 /// the same code serves smoke tests, `cargo bench` and full reproductions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunScale {
     /// Memory accesses simulated per workload.
     pub accesses_per_workload: usize,

@@ -24,11 +24,10 @@ use dspatch_sim::stats::{IntervalEstimate, SamplingStats};
 use dspatch_sim::{MachineState, SimResult, SimulationBuilder, SystemConfig};
 use dspatch_trace::{TraceMeta, TraceSource, WorkloadSpec};
 use dspatch_types::NullPrefetcher;
-use serde::{Deserialize, Serialize};
 
 /// How a sampled run divides a workload: one warm-up prefix plus
 /// seed-placed measurement intervals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SamplingPlan {
     /// Records consumed in functional warm-up before any interval. The
     /// same length also bounds the functional **re-warm** ahead of each
@@ -116,7 +115,7 @@ impl SamplingPlan {
         (self.interval_accesses * u64::from(self.intervals)) as f64 / total_accesses as f64
     }
 
-    /// Stable fingerprint suffix appended to journal and store identities
+    /// Stable fingerprint suffix appended to campaign and cell identities
     /// so sampled and exact results of the same cell never alias.
     pub fn fingerprint_suffix(&self) -> String {
         format!(
@@ -437,16 +436,7 @@ pub fn checkpoint_token(target_key: &str, config: &SystemConfig, plan: &Sampling
         config,
         plan.warmup_accesses
     );
-    format!("{:016x}", fnv1a(identity.as_bytes()))
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    format!("{:016x}", crate::store::fnv1a(identity.as_bytes()))
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
 //! Content-addressed, append-only result store: the durable cross-campaign
-//! memo table behind `dspatch-serve` and `dspatch-lab --store`.
+//! memo table behind `dspatch-serve` and `dspatch-lab --store`, and the one
+//! place a campaign's results persist.
 //!
-//! Where a [`crate::journal`] binds to **one** `(spec, scale)` identity so a
-//! crashed campaign can resume, the store is campaign-agnostic: every record
-//! is keyed by a [`cell_fingerprint`] — FNV-1a over the `(code version,
-//! target, prefetcher, normalized config, accesses-per-workload)` identity of
-//! one simulation cell — so *any* campaign, submitted by *any* request or
-//! process incarnation, that reaches an already-simulated cell is served from
-//! disk instead of re-simulating. The format follows the journal's crash-safe
-//! discipline: one flushed JSON line per record, a torn final line silently
+//! Every record is keyed by a [`cell_fingerprint`] — FNV-1a over the `(code
+//! version, target, prefetcher, normalized config, accesses-per-workload)`
+//! identity of one simulation cell — so *any* campaign, submitted by *any*
+//! request or process incarnation, that reaches an already-simulated cell is
+//! served from disk instead of re-simulating. That is also how a killed
+//! campaign resumes: re-run it against the same store and every cell it
+//! completed is a hit, so only the missing cells simulate. The file is
+//! crash-safe: one flushed JSON line per record, a torn final line silently
 //! truncated on open, mid-file damage a typed [`HarnessError::Corrupt`].
 //!
 //! Since format version 2 each record is a canonical
@@ -23,9 +24,9 @@
 //! reclaimed.
 
 use crate::error::HarnessError;
-use crate::journal::fnv1a;
 use crate::json::Json;
 use crate::results::{sim_result_from_json, ResultRow};
+use crate::runner::RunScale;
 use dspatch_sim::{SimResult, SystemConfig};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
@@ -41,8 +42,8 @@ const STORE_MIN_VERSION: u64 = 1;
 pub const STORE_FILE: &str = "results.jsonl";
 
 /// The code version participating in every [`cell_fingerprint`] and
-/// [`crate::journal::campaign_fingerprint`], so results simulated by older
-/// code are never served or resumed for newer code (or vice versa).
+/// [`campaign_fingerprint`], so results simulated by older code are never
+/// served for newer code (or vice versa).
 ///
 /// It is the crate version plus a trailing model-revision segment, raised
 /// whenever simulated results change while the crate version stays put.
@@ -75,6 +76,40 @@ pub fn compare_versions(a: &str, b: &str) -> std::cmp::Ordering {
             }
         }
     }
+}
+
+/// FNV-1a 64-bit over a byte stream — stable, dependency-free fingerprint.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Fingerprint of one `(spec, scale, code version)` campaign identity,
+/// rendered as 16 hex digits; `dspatch-serve` uses it as the campaign id.
+/// `threads` is excluded: it is a machine knob that never changes results
+/// (the executor is deterministic for any worker count), so the same spec
+/// submitted with a different worker count is the same campaign. The
+/// [`code_version`] is included, so code that simulates differently never
+/// attaches to a campaign of the old model.
+pub fn campaign_fingerprint(spec_json: &Json, scale: &RunScale) -> String {
+    let mut identity = format!(
+        "{}|a{}|w{}|m{}|v{}",
+        spec_json.render_compact(),
+        scale.accesses_per_workload,
+        scale.workloads_per_category,
+        scale.mixes,
+        code_version(),
+    );
+    // Sampled and exact runs of the same spec must never alias: the plan
+    // joins the identity when present.
+    if let Some(plan) = &scale.sampling {
+        identity.push_str(&plan.fingerprint_suffix());
+    }
+    format!("{:016x}", fnv1a(identity.as_bytes()))
 }
 
 /// Content address of one simulation cell, rendered as 16 hex digits.
@@ -607,6 +642,76 @@ mod tests {
         assert_ne!(fp, cell_fingerprint("w:y", "Kind(Dspatch)", &base, 1000));
         assert_ne!(fp, cell_fingerprint("w:x", "Kind(Spp)", &base, 1000));
         assert_ne!(fp, cell_fingerprint("w:x", "Kind(Dspatch)", &base, 2000));
+    }
+
+    #[test]
+    fn sampling_plans_change_the_campaign_fingerprint() {
+        let spec = Json::obj([("name", Json::str("fp"))]);
+        let exact = RunScale::smoke();
+        let sampled = RunScale {
+            sampling: Some(crate::sampling::SamplingPlan {
+                warmup_accesses: 100,
+                interval_accesses: 10,
+                intervals: 2,
+                seed: 0,
+            }),
+            ..RunScale::smoke()
+        };
+        assert_ne!(
+            campaign_fingerprint(&spec, &exact),
+            campaign_fingerprint(&spec, &sampled)
+        );
+        let reseeded = RunScale {
+            sampling: sampled
+                .sampling
+                .map(|p| crate::sampling::SamplingPlan { seed: 9, ..p }),
+            ..sampled
+        };
+        assert_ne!(
+            campaign_fingerprint(&spec, &sampled),
+            campaign_fingerprint(&spec, &reseeded)
+        );
+    }
+
+    #[test]
+    fn fingerprints_ignore_threads_but_track_everything_else() {
+        let spec = Json::obj([("name", Json::str("c"))]);
+        let scale = RunScale {
+            accesses_per_workload: 1000,
+            workloads_per_category: 1,
+            mixes: 1,
+            threads: 8,
+            sampling: None,
+        };
+        let mut rethreaded = scale;
+        rethreaded.threads = 2;
+        assert_eq!(
+            campaign_fingerprint(&spec, &scale),
+            campaign_fingerprint(&spec, &rethreaded),
+            "threads are a machine knob, not an identity"
+        );
+        let mut rescaled = scale;
+        rescaled.accesses_per_workload = 2000;
+        assert_ne!(
+            campaign_fingerprint(&spec, &scale),
+            campaign_fingerprint(&spec, &rescaled)
+        );
+        let other_spec = Json::obj([("name", Json::str("d"))]);
+        assert_ne!(
+            campaign_fingerprint(&spec, &scale),
+            campaign_fingerprint(&other_spec, &scale)
+        );
+    }
+
+    #[test]
+    fn campaign_ids_stay_pinned() {
+        // `dspatch-serve` campaign ids are this fingerprint: a change to it
+        // orphans every campaign a running service has registered.
+        let spec = crate::campaign::CampaignSpec::template().to_json();
+        assert_eq!(
+            campaign_fingerprint(&spec, &RunScale::smoke()),
+            "691429532a2c3416"
+        );
     }
 
     #[test]

@@ -13,10 +13,9 @@ use dspatch_types::{
     FillLevel, MemoryAccess, PageAddr, PrefetchContext, PrefetchRequest, PrefetchSink, Prefetcher,
     LINES_PER_PAGE,
 };
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the [`AmpmPrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AmpmConfig {
     /// Number of concurrently tracked zones (pages).
     pub tracked_zones: usize,
@@ -36,7 +35,7 @@ impl Default for AmpmConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Zone {
     page: PageAddr,
     accessed: u64,
@@ -61,7 +60,7 @@ struct Zone {
 /// }
 /// assert!(!issued.is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AmpmPrefetcher {
     config: AmpmConfig,
     zones: Vec<Zone>,

@@ -17,10 +17,9 @@ use dspatch_types::{
     BandwidthQuartile, FillLevel, LineAddr, MemoryAccess, PrefetchContext, PrefetchRequest,
     PrefetchSink, Prefetcher,
 };
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the [`BopPrefetcher`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BopConfig {
     /// Recent-requests table entries (paper Table 3: 256).
     pub rr_entries: usize,
@@ -77,7 +76,7 @@ impl BopConfig {
 }
 
 /// Per-run statistics (observability only).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BopStats {
     /// Accesses observed.
     pub accesses: u64,
@@ -110,7 +109,7 @@ pub struct BopStats {
 /// }
 /// assert!(issued > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BopPrefetcher {
     config: BopConfig,
     rr_table: Vec<Option<LineAddr>>,

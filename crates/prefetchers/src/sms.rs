@@ -17,10 +17,9 @@ use dspatch_types::{
     FillLevel, MemoryAccess, Pc, PrefetchContext, PrefetchRequest, PrefetchSink, Prefetcher,
     CACHE_LINE_BYTES,
 };
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the [`SmsPrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmsConfig {
     /// Spatial region size in bytes (paper Table 3: 2 KB).
     pub region_bytes: usize,
@@ -65,7 +64,7 @@ impl SmsConfig {
 }
 
 /// A region being observed (in the filter table or accumulation table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Generation {
     region: u64,
     trigger_pc: Pc,
@@ -76,7 +75,7 @@ struct Generation {
 }
 
 /// One PHT way: a stored signature → pattern correlation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PhtEntry {
     tag: u64,
     pattern: u64,
@@ -84,7 +83,7 @@ struct PhtEntry {
 }
 
 /// Per-run statistics (observability only).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SmsStats {
     /// Accesses observed.
     pub accesses: u64,
@@ -116,7 +115,7 @@ pub struct SmsStats {
 /// }
 /// assert!(!issued.is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmsPrefetcher {
     config: SmsConfig,
     filter: Vec<Generation>,

@@ -18,7 +18,6 @@ use dspatch_types::{
     BandwidthQuartile, FillLevel, MemoryAccess, PageAddr, PrefetchContext, PrefetchRequest,
     PrefetchSink, Prefetcher, LINES_PER_PAGE,
 };
-use serde::{Deserialize, Serialize};
 
 /// Number of delta slots tracked per pattern-table entry.
 const DELTAS_PER_ENTRY: usize = 4;
@@ -28,7 +27,7 @@ const SIGNATURE_BITS: u32 = 12;
 const COUNTER_MAX: u8 = 15;
 
 /// Configuration of the [`SppPrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SppConfig {
     /// Signature-table entries (paper Table 3: 256).
     pub signature_table_entries: usize,
@@ -78,7 +77,7 @@ impl SppConfig {
 }
 
 /// Signature-table entry: per-page delta-history state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StEntry {
     page: PageAddr,
     last_offset: usize,
@@ -98,14 +97,14 @@ impl Default for StEntry {
 }
 
 /// One candidate delta and its confidence counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct DeltaSlot {
     delta: i8,
     counter: u8,
 }
 
 /// Pattern-table entry: candidate next deltas for one signature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct PtEntry {
     c_sig: u8,
     deltas: [DeltaSlot; DELTAS_PER_ENTRY],
@@ -150,7 +149,7 @@ impl PtEntry {
 
 /// Global-history-register entry used to seed signatures across page
 /// boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct GhrEntry {
     signature: u16,
     expected_offset: usize,
@@ -159,7 +158,7 @@ struct GhrEntry {
 }
 
 /// Per-run statistics kept by the prefetcher (observability only).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SppStats {
     /// Accesses observed.
     pub accesses: u64,
@@ -191,7 +190,7 @@ pub struct SppStats {
 /// }
 /// assert!(!issued.is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SppPrefetcher {
     config: SppConfig,
     signature_table: Vec<StEntry>,

@@ -10,10 +10,9 @@ use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWr
 use dspatch_types::{
     FillLevel, MemoryAccess, PageAddr, PrefetchContext, PrefetchRequest, PrefetchSink, Prefetcher,
 };
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the [`StreamPrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Number of sequential lines prefetched per access.
     pub degree: usize,
@@ -49,7 +48,7 @@ impl Default for StreamConfig {
 /// let reqs = pf.collect_requests(&a, &PrefetchContext::default());
 /// assert_eq!(reqs.len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamPrefetcher {
     config: StreamConfig,
     /// Last observed line per recently seen page, to pick a direction.

@@ -11,10 +11,9 @@ use dspatch_types::{
     FillLevel, LineAddr, MemoryAccess, Pc, PrefetchContext, PrefetchRequest, PrefetchSink,
     Prefetcher,
 };
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the [`StridePrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StrideConfig {
     /// Number of PCs tracked (paper: 64).
     pub tracked_pcs: usize,
@@ -37,7 +36,7 @@ impl Default for StrideConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StrideEntry {
     pc: Pc,
     last_line: LineAddr,
@@ -66,7 +65,7 @@ struct StrideEntry {
 /// // A constant +2-line stride is learnt and prefetched ahead.
 /// assert!(!sink.is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StridePrefetcher {
     config: StrideConfig,
     entries: Vec<StrideEntry>,

@@ -11,10 +11,9 @@
 
 use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{LineAddr, CACHE_LINE_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Level name ("L1D", "L2", "LLC") used in reports.
     pub name: String,
@@ -99,7 +98,7 @@ impl CacheConfig {
 /// builds after [`CacheConfig::sets`] rounds the set count up to a power of
 /// two. Returned by [`CacheConfig::validate`] and echoed per level into
 /// [`crate::stats::SimResult`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Level name from the configuration ("L1D", "L2", "LLC").
     pub name: String,
@@ -117,7 +116,7 @@ pub struct CacheGeometry {
 }
 
 /// Metadata attached to a resident line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineMeta {
     /// The line was filled by a prefetch (and not yet replaced by a demand
     /// fill).
@@ -167,7 +166,7 @@ const fn unpack_meta(stamp: u64) -> LineMeta {
 }
 
 /// An eviction produced by a fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
     /// The evicted line.
     pub line: LineAddr,
@@ -176,7 +175,7 @@ pub struct Eviction {
 }
 
 /// Hit/miss and prefetch-usefulness counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand lookups that hit.
     pub demand_hits: u64,
@@ -224,7 +223,7 @@ impl CacheStats {
 /// cache.fill(LineAddr::new(1), false, false);
 /// assert!(cache.demand_lookup(LineAddr::new(1)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     config: CacheConfig,
     /// Line tags, `EMPTY_TAG` when unoccupied; set `s` occupies

@@ -2,10 +2,9 @@
 //! the bandwidth-scaling experiments (Figures 1, 6 and 15).
 
 use crate::cache::CacheConfig;
-use serde::{Deserialize, Serialize};
 
 /// Core microarchitecture parameters (Skylake-class, Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Core clock in MHz (paper: 4 GHz).
     pub clock_mhz: u64,
@@ -29,7 +28,7 @@ impl Default for CoreConfig {
 }
 
 /// DDR4 speed grades evaluated by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DramSpeedGrade {
     /// DDR4-1600 (12.5 GB/s per channel).
     Ddr4_1600,
@@ -69,7 +68,7 @@ impl DramSpeedGrade {
 /// DRAM organization and timing (paper, Table 2: DDR4, 2 ranks/channel,
 /// 8 banks/rank, 64-bit bus, 2 KB row buffer, tCL=tRCD=tRP=15 ns,
 /// tRAS=39 ns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Number of independent channels.
     pub channels: usize,
@@ -147,7 +146,7 @@ impl DramConfig {
 }
 
 /// Full system configuration (Table 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Core parameters.
     pub core: CoreConfig,

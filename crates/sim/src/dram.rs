@@ -9,10 +9,9 @@
 use crate::config::DramConfig;
 use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{BandwidthQuartile, LineAddr};
-use serde::{Deserialize, Serialize};
 
 /// Statistics accumulated by the DRAM model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DramStats {
     /// Total column accesses (one per 64 B transfer).
     pub cas_commands: u64,
@@ -54,7 +53,7 @@ impl DramStats {
 /// accesses in windows of 4×tRC cycles, halves the counter at each window
 /// boundary for hysteresis, and quantizes the result into quartiles of the
 /// peak CAS rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthTracker {
     window_cycles: u64,
     peak_cas_per_window: f64,
@@ -180,13 +179,13 @@ fn decay_exact(value: f64, k: u64) -> f64 {
     out
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Bank {
     open_row: Option<u64>,
     busy_until: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Channel {
     banks: Vec<Bank>,
     /// Cycle at which the data bus is free considering all traffic.
@@ -215,7 +214,7 @@ struct Channel {
 /// assert!(second > first);
 /// assert_eq!(dram.stats().cas_commands, 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dram {
     config: DramConfig,
     channels: Vec<Channel>,

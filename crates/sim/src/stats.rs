@@ -11,10 +11,9 @@
 
 use crate::cache::{CacheGeometry, CacheStats};
 use crate::dram::DramStats;
-use serde::{Deserialize, Serialize};
 
 /// Prefetch coverage/accuracy accounting for one core's L2 prefetcher.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchAccounting {
     /// Demand accesses that reached the L2 (i.e. demand L1 misses).
     pub l2_demand_accesses: u64,
@@ -73,7 +72,7 @@ impl PrefetchAccounting {
 }
 
 /// Classification of LLC victims evicted by prefetch fills (Figure 20).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PollutionBreakdown {
     /// Victims never referenced again before the end of the run: already
     /// dead, so their eviction caused no harm.
@@ -104,7 +103,7 @@ impl PollutionBreakdown {
 }
 
 /// Per-core outcome of a simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreResult {
     /// Workload name the core ran.
     pub workload: String,
@@ -135,7 +134,7 @@ impl CoreResult {
 
 /// Mean and half-width of a 95% confidence interval over per-interval
 /// estimates from a sampled run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalEstimate {
     /// Arithmetic mean of the per-interval values.
     pub mean: f64,
@@ -156,7 +155,7 @@ impl IntervalEstimate {
 /// per-interval measurements spread. Attached to a [`SimResult`] only when
 /// the run was sampled; exact runs leave it `None` so their serialized
 /// form is unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingStats {
     /// Records consumed in functional warm-up before the first interval.
     pub warmup_accesses: u64,
@@ -175,7 +174,7 @@ pub struct SamplingStats {
 }
 
 /// The complete outcome of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// One entry per core, in core order.
     pub cores: Vec<CoreResult>,

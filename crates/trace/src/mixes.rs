@@ -12,10 +12,9 @@
 use crate::workloads::{memory_intensive_suite, WorkloadSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A 4-core workload mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadMix {
     /// Mix name ("4x mcf06" or "mix-17").
     pub name: String,

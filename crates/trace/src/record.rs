@@ -6,10 +6,9 @@
 //! for both memory-level parallelism and non-memory work.
 
 use dspatch_types::{AccessKind, Addr, MemoryAccess, Pc};
-use serde::{Deserialize, Serialize};
 
 /// One memory access in a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceRecord {
     /// Program counter of the memory instruction.
     pub pc: Pc,
@@ -25,7 +24,6 @@ pub struct TraceRecord {
     /// the previous memory access (pointer chasing). Dependent accesses
     /// cannot overlap with their producer in the core model, which is what
     /// makes linked-data-structure traversals latency-bound.
-    #[serde(default)]
     pub dependent: bool,
 }
 
@@ -93,7 +91,7 @@ impl TraceRecord {
 /// assert_eq!(trace.instruction_count(), 5);
 /// assert_eq!(trace.footprint_lines(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Human-readable workload name.
     pub name: String,

@@ -18,7 +18,6 @@ use dspatch_types::{CACHE_LINE_BYTES, LINES_PER_PAGE, PAGE_BYTES};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// An unbounded, incrementally-evaluated record stream: the streaming form
 /// of a [`PatternGenerator`]. Implementations hold O(1) state and may be
@@ -52,7 +51,7 @@ pub trait PatternGenerator {
 
 /// Sequential streaming over one or more large arrays (HPC / floating-point
 /// SPEC behaviour: dense, regular, delta-friendly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamGen {
     /// Number of concurrent streams interleaved round-robin.
     pub streams: usize,
@@ -122,7 +121,7 @@ impl PatternGenerator for StreamGen {
 
 /// Constant-stride access over large arrays (e.g. column walks, large
 /// structure iteration). Delta prefetchers handle this well.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StridedGen {
     /// Stride between consecutive accesses of one stream, in cache lines.
     pub stride_lines: u64,
@@ -185,7 +184,7 @@ impl PatternGenerator for StridedGen {
 /// subsystem reordering. This is the structure DSPatch and SMS exploit
 /// (paper, Figure 2), and the reordering is exactly what defeats purely
 /// local delta histories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpatialPatternGen {
     /// Number of distinct object layouts (and trigger PCs).
     pub layouts: usize,
@@ -298,7 +297,7 @@ impl PatternGenerator for SpatialPatternGen {
 
 /// Sparse, irregular accesses: large footprint, only a handful of accesses
 /// per page, little short-term reuse (graph / cloud / mcf-like behaviour).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IrregularGen {
     /// Footprint in 4 KB pages.
     pub footprint_pages: u64,
@@ -367,7 +366,7 @@ impl PatternGenerator for IrregularGen {
 
 /// Dependent pointer chasing over a shuffled node array: consecutive
 /// accesses land on unrelated lines, so almost nothing is prefetchable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PointerChaseGen {
     /// Number of nodes in the linked structure.
     pub nodes: u64,
@@ -431,7 +430,7 @@ impl PatternGenerator for PointerChaseGen {
 /// distinct PCs, each touching a small spatial neighbourhood. Prefetchers
 /// with large signature stores (16 K-entry SMS) retain these; 256-entry
 /// tables thrash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CodeHeavyGen {
     /// Number of distinct trigger PCs.
     pub distinct_pcs: usize,
@@ -505,7 +504,7 @@ impl PatternGenerator for CodeHeavyGen {
 
 /// A weighted interleaving of other generators, used to compose realistic
 /// category mixes (e.g. "Client" = streaming + spatial + irregular).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedGen {
     /// Weighted parts: `(weight, generator)`.
     pub parts: Vec<(u32, GeneratorSpec)>,
@@ -615,7 +614,7 @@ impl PatternGenerator for MixedGen {
 
 /// A serializable, cloneable description of any generator, so workload
 /// specifications can be stored and shared.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GeneratorSpec {
     /// Sequential streaming.
     Stream(StreamGen),

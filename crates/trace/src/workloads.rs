@@ -13,11 +13,10 @@ use crate::synth::{
     CodeHeavyGen, GeneratorSpec, IrregularGen, MixedGen, PatternGenerator, PointerChaseGen,
     SpatialPatternGen, StreamGen, StridedGen,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The nine workload categories of Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WorkloadCategory {
     /// Client applications (compression, media encode/decode).
     Client,
@@ -76,7 +75,7 @@ impl fmt::Display for WorkloadCategory {
 }
 
 /// A named synthetic workload: category, generator and seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Workload name (synthetic stand-in for a SPEC/server/cloud benchmark).
     pub name: String,

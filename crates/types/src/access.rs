@@ -1,14 +1,11 @@
 //! Demand-access events observed by the cache hierarchy.
 
 use crate::address::{Addr, LineAddr, PageAddr};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A program counter value. Prefetchers use the PC as (part of) their
 /// signature; DSPatch uses an 8-bit folded hash of the trigger PC.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Pc(u64);
 
 impl Pc {
@@ -59,9 +56,7 @@ impl fmt::Display for Pc {
 }
 
 /// Identifier of a core in a multi-core simulation (0-based).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CoreId(pub usize);
 
 impl CoreId {
@@ -78,7 +73,7 @@ impl fmt::Display for CoreId {
 }
 
 /// Whether a memory access reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AccessKind {
     /// A demand load.
     #[default]
@@ -118,7 +113,7 @@ impl fmt::Display for AccessKind {
 /// assert_eq!(access.line().page_offset(), 1);
 /// assert_eq!(access.core, CoreId(2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoryAccess {
     /// Program counter of the instruction performing the access.
     pub pc: Pc,

@@ -11,7 +11,6 @@
 //! The newtypes prevent the classic "was this already shifted?" bug class:
 //! a [`LineAddr`] can never be accidentally treated as a byte address.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Size of one cache line in bytes (paper, Table 2).
@@ -39,9 +38,7 @@ const PAGE_SHIFT: u32 = PAGE_BYTES.trailing_zeros();
 /// assert_eq!(a.page_line_offset(), 2);
 /// assert_eq!(a.page().as_u64(), 1);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(u64);
 
 impl Addr {
@@ -115,9 +112,7 @@ impl fmt::LowerHex for Addr {
 /// assert_eq!(line, LineAddr::new(0x41));
 /// assert_eq!(line.to_addr(), Addr::new(0x1040));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(u64);
 
 impl LineAddr {
@@ -179,9 +174,7 @@ impl fmt::Display for LineAddr {
 /// assert_eq!(page.to_addr(), Addr::new(7 * 4096));
 /// assert_eq!(page.line_at(3), Addr::new(7 * 4096 + 3 * 64).line());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageAddr(u64);
 
 impl PageAddr {

@@ -6,7 +6,6 @@
 //! core. This module defines that 2-bit value; the counter itself lives in
 //! the DRAM model (`dspatch-sim`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Quantized DRAM bandwidth utilization, as broadcast by the memory
@@ -24,9 +23,7 @@ use std::fmt;
 /// assert!(BandwidthQuartile::Q3.is_high());
 /// assert!(!BandwidthQuartile::Q1.is_high());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum BandwidthQuartile {
     /// Utilization below 25 % of peak.
     #[default]

@@ -20,14 +20,13 @@
 use crate::access::MemoryAccess;
 use crate::address::LineAddr;
 use crate::bandwidth::BandwidthQuartile;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The cache level a prefetched line should be filled into.
 ///
 /// The paper's L2 prefetchers fill into the L2 and the LLC; SPP additionally
 /// demotes low-confidence prefetches to fill only into the LLC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FillLevel {
     /// Fill into the L1 data cache (used only by the L1 stride prefetcher).
     L1,
@@ -59,7 +58,7 @@ impl fmt::Display for FillLevel {
 /// assert_eq!(req.line, LineAddr::new(0x100));
 /// assert!(req.low_priority);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PrefetchRequest {
     /// The cache line to prefetch.
     pub line: LineAddr,
@@ -95,7 +94,7 @@ impl PrefetchRequest {
 }
 
 /// Per-access context handed to a prefetcher by the cache hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PrefetchContext {
     /// Current core clock cycle.
     pub cycle: u64,

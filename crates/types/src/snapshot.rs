@@ -1,8 +1,8 @@
 //! Checkpoint serialization primitives: a versioned little-endian byte
 //! layout shared by every snapshottable component.
 //!
-//! The vendored `serde` shim is a no-op (derives emit nothing), so machine
-//! checkpoints are hand-serialized: each component implements
+//! The workspace depends on no serialization crate, so machine checkpoints
+//! are hand-serialized: each component implements
 //! [`SnapshotState`] and writes its mutable state — never its configuration,
 //! which the restoring side rebuilds through the normal constructor path —
 //! through a [`StateWriter`] and reads it back through a [`StateReader`].

@@ -4,6 +4,19 @@
 use dspatch_harness::Json;
 use std::process::Command;
 
+/// A one-workload campaign: 1 memoized baseline + 2 candidates.
+const SMOKE_SPEC: &str = r#"{
+    "name": "cli smoke",
+    "scale": {"accesses_per_workload": 500, "workloads_per_category": 1, "mixes": 1, "threads": 2},
+    "cells": [{
+        "label": "cloud",
+        "targets": {"category": "cloud"},
+        "prefetchers": ["spp", "dspatch_plus_spp"],
+        "config": {"base": "single_thread"},
+        "baseline": true
+    }]
+}"#;
+
 fn dspatch_lab(args: &[&str]) -> String {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let output = Command::new(cargo)
@@ -64,7 +77,6 @@ fn misplaced_flags_are_usage_errors_not_silently_ignored() {
     // floor; each must now exit 2 with a usage message.
     for args in [
         &["--figure", "table1", "--retries", "2"] as &[&str],
-        &["--figure", "table1", "--resume", "run.journal"],
         &["--figure", "table1", "--store", "store-dir"],
         &["--list", "--retries", "2"],
     ] {
@@ -122,6 +134,58 @@ fn removed_multi_core_worker_knobs_fail_loudly() {
 }
 
 #[test]
+fn removed_resume_flags_are_unknown_arguments() {
+    // A killed campaign resumes by re-running it with the same --store.
+    for flag in ["--journal", "--resume"] {
+        let (code, stderr) = dspatch_lab_fails(&["--figure", "table1", flag, "run.jsonl"]);
+        assert_eq!(code, 2, "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument: {flag}")),
+            "{flag}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn damaged_and_foreign_stores_exit_with_their_class_codes() {
+    let dir = std::env::temp_dir().join("dspatch-lab-cli-damaged-store");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spec_path = dir.join("spec.json");
+    std::fs::write(&spec_path, SMOKE_SPEC).expect("write spec");
+    let spec_path = spec_path.to_str().expect("utf-8 path");
+    let store = dir.join("store");
+    let results = store.join("results.jsonl");
+    let store = store.to_str().expect("utf-8 path");
+    dspatch_lab(&["--spec", spec_path, "--store", store, "--format", "json"]);
+
+    // Cut the first row in half but keep the rows after it: that is
+    // corruption (exit 5), not a torn tail, and the message names the file
+    // and line without calling it anything else.
+    let text = std::fs::read_to_string(&results).expect("store written");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "meta line + one row per simulation");
+    let cut = &lines[1][..lines[1].len() / 2];
+    let rest = lines[2..].join("\n");
+    std::fs::write(&results, format!("{}\n{cut}\n{rest}\n", lines[0])).expect("cut");
+    let (code, stderr) = dspatch_lab_fails(&["--spec", spec_path, "--store", store]);
+    assert_eq!(code, 5, "{stderr}");
+    assert!(
+        stderr.contains("results.jsonl:2: corrupt record"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("journal"), "{stderr}");
+
+    // A file with another magic is never overwritten (exit 6).
+    std::fs::write(&results, "{\"store\": \"something-else\"}\n").expect("write");
+    let (code, stderr) = dspatch_lab_fails(&["--spec", spec_path, "--store", store]);
+    assert_eq!(code, 6, "{stderr}");
+    assert!(stderr.contains("store mismatch"), "{stderr}");
+    assert!(!stderr.contains("journal"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn runs_a_paper_figure_in_every_format() {
     // Table 1 and Figure 11 need no simulation, keeping the test quick while
     // still exercising the figure registry end to end.
@@ -141,21 +205,10 @@ fn runs_a_paper_figure_in_every_format() {
 
 #[test]
 fn runs_a_custom_spec_file_in_every_format() {
-    let spec = r#"{
-        "name": "cli smoke",
-        "scale": {"accesses_per_workload": 500, "workloads_per_category": 1, "mixes": 1, "threads": 2},
-        "cells": [{
-            "label": "cloud",
-            "targets": {"category": "cloud"},
-            "prefetchers": ["spp", "dspatch_plus_spp"],
-            "config": {"base": "single_thread"},
-            "baseline": true
-        }]
-    }"#;
     let dir = std::env::temp_dir().join("dspatch-lab-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("spec.json");
-    std::fs::write(&path, spec).expect("write spec");
+    std::fs::write(&path, SMOKE_SPEC).expect("write spec");
     let path = path.to_str().expect("utf-8 temp path");
 
     let json = dspatch_lab(&["--spec", path, "--format", "json"]);

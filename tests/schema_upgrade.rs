@@ -1,22 +1,21 @@
 //! Schema-upgrade guarantees for the unified result schema.
 //!
-//! `tests/fixtures/` holds byte-exact store/journal files written by the
-//! **previous** release's writers (store v1 `{"cell": ...}` records,
-//! journal v1 `{"sim": {"key", "result"}}` records), plus torn-tail
-//! variants simulating a crash mid-append. These tests prove the current
-//! readers load them through the `ResultRow` upgrade path and that the
-//! result payloads re-render **bit-for-bit** — if a serializer change ever
-//! breaks compatibility with shipped files, these fail first.
+//! `tests/fixtures/` holds byte-exact store files written by the
+//! **previous** release's writer (store v1 `{"cell": ...}` records), plus a
+//! torn-tail variant simulating a crash mid-append. These tests prove the
+//! current reader loads them through the `ResultRow` upgrade path and that
+//! the result payloads re-render **bit-for-bit** — if a serializer change
+//! ever breaks compatibility with shipped files, these fail first.
 //!
-//! The `*_mix_0.1.0.jsonl` fixtures are a store and a journal written by
-//! code version `0.1.0` for one 4-core mix, before multi-core simulations
-//! ran on the exact cycle-interleaved machine. Their results are from a
-//! different model, so they must never be served or resumed.
+//! The `store_v2_mix_0.1.0.jsonl` fixture is a store written by code
+//! version `0.1.0` for one 4-core mix, before multi-core simulations ran
+//! on the exact cycle-interleaved machine. Its results are from a
+//! different model, so they must never be served.
 
 use dspatch_harness::campaign::{run_campaign_with, ExecOptions};
-use dspatch_harness::journal::{read_journal, sim_result_to_json, JournalMeta};
+use dspatch_harness::results::sim_result_to_json;
 use dspatch_harness::store::code_version;
-use dspatch_harness::{CampaignSpec, HarnessError, Json, ResultRow, ResultStore, RunScale};
+use dspatch_harness::{CampaignSpec, Json, ResultRow, ResultStore, RunScale};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -114,79 +113,7 @@ fn store_v1_torn_tail_is_dropped_and_store_stays_appendable() {
     assert!(store_path.exists());
 }
 
-#[test]
-fn journal_v1_sims_load_and_rerender_bit_for_bit() {
-    let path = fixture("journal_v1.jsonl");
-    let text = std::fs::read_to_string(&path).expect("read fixture");
-    let meta_line = text.lines().next().expect("meta line");
-    let meta_json = Json::parse(meta_line).expect("meta parses");
-    let meta = JournalMeta {
-        campaign: meta_json
-            .get("campaign")
-            .and_then(Json::as_str)
-            .expect("campaign")
-            .to_owned(),
-        fingerprint: meta_json
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .expect("fingerprint")
-            .to_owned(),
-    };
-
-    let contents = read_journal(&path, &meta).expect("v1 journal reads");
-    assert_eq!(contents.sims.len(), 2, "both fixture sims load");
-    assert!(contents.failures.is_empty());
-    assert_eq!(
-        contents.clean_len,
-        text.len() as u64,
-        "whole fixture is a clean prefix"
-    );
-
-    for line in text.lines().skip(1) {
-        let parsed = Json::parse(line).expect("fixture line parses");
-        let sim = parsed.get("sim").expect("sim record");
-        let key = sim.get("key").and_then(Json::as_str).expect("job key");
-        let result = contents
-            .sims
-            .get(key)
-            .unwrap_or_else(|| panic!("sim {key} loaded"));
-        let rebuilt = Json::obj([(
-            "sim",
-            Json::obj([
-                ("key", Json::str(key)),
-                ("result", sim_result_to_json(result)),
-            ]),
-        )])
-        .render_compact();
-        assert_eq!(rebuilt, line, "sim {key} re-renders bit-for-bit");
-    }
-}
-
-#[test]
-fn journal_v1_torn_tail_is_tolerated() {
-    let path = fixture("journal_v1_torn.jsonl");
-    let text = std::fs::read_to_string(&path).expect("read fixture");
-    let meta_json = Json::parse(text.lines().next().expect("meta line")).expect("meta parses");
-    let meta = JournalMeta {
-        campaign: meta_json
-            .get("campaign")
-            .and_then(Json::as_str)
-            .expect("campaign")
-            .to_owned(),
-        fingerprint: meta_json
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .expect("fingerprint")
-            .to_owned(),
-    };
-    let contents = read_journal(&path, &meta).expect("torn v1 journal reads");
-    assert_eq!(contents.sims.len(), 1, "torn final record dropped");
-    // Clean prefix = meta line + first complete record (with newlines).
-    let clean: u64 = text.lines().take(2).map(|line| line.len() as u64 + 1).sum();
-    assert_eq!(contents.clean_len, clean);
-}
-
-/// The campaign both `*_mix_0.1.0.jsonl` fixtures were written for.
+/// The campaign the `store_v2_mix_0.1.0.jsonl` fixture was written for.
 const MIX_SPEC: &str = r#"{
   "name": "multi-core store fixture",
   "scale": {"accesses_per_workload": 400, "workloads_per_category": 1, "mixes": 1, "threads": 1},
@@ -234,30 +161,5 @@ fn multi_core_rows_from_code_0_1_0_are_misses_and_gc_drops_them() {
     let gc = store.gc(1).expect("gc");
     assert_eq!((gc.kept, gc.dropped), (2, 2));
     assert!(store.rows().all(|row| row.code_version == code_version()));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn journal_from_code_0_1_0_fails_resume_with_mismatch() {
-    let dir = scratch("journal-mix-0.1.0");
-    let path = dir.join("run.journal");
-    std::fs::copy(fixture("journal_v2_mix_0.1.0.jsonl"), &path).expect("install fixture");
-    let (spec, scale) = mix_campaign();
-    let opts = ExecOptions {
-        journal: Some(path),
-        resume: true,
-        ..ExecOptions::default()
-    };
-    let error = run_campaign_with(&spec, &scale, &opts).expect_err("resume must refuse");
-    assert!(
-        matches!(
-            error,
-            HarnessError::Mismatch {
-                field: "fingerprint",
-                ..
-            }
-        ),
-        "{error:?}"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
