@@ -601,19 +601,35 @@ mod tests {
         assert_eq!(report.host_cpus, host_cpus());
     }
 
-    /// Pins the exact machine's cycle counts on the snapshot's 4-core mix,
-    /// so any change to multi-core timing shows up as a failing number.
+    /// Pins the exact machine's timing on the snapshot's 4-core mix — the
+    /// machine-wide cycle count and every core's own finish cycle and
+    /// instruction count — so any change to multi-core timing, including
+    /// on a core that finishes before the slowest one, shows up as a
+    /// failing number.
     #[test]
     fn four_core_snapshot_matches_the_exact_machine() {
-        let cycles = |kind: PrefetcherKind| {
+        let check = |kind: PrefetcherKind, cycles: u64, finish_cycles: [u64; 4]| {
             let mut builder = SimulationBuilder::new(SystemConfig::multi_programmed());
             for trace in snapshot_multi_traces(60_000) {
                 builder = builder.with_core(trace, kind.build_any());
             }
-            builder.run().cycles
+            let result = builder.run();
+            assert_eq!(result.cycles, cycles, "{kind:?}");
+            let finished: Vec<u64> = result.cores.iter().map(|c| c.finish_cycle).collect();
+            assert_eq!(finished, finish_cycles, "{kind:?}");
+            let instructions: Vec<u64> = result.cores.iter().map(|c| c.instructions).collect();
+            assert_eq!(instructions, [2_460_000; 4], "{kind:?}");
         };
-        assert_eq!(cycles(PrefetcherKind::Baseline), 16_543_398);
-        assert_eq!(cycles(PrefetcherKind::DspatchPlusSpp), 13_052_483);
+        check(
+            PrefetcherKind::Baseline,
+            16_543_398,
+            [16_510_847, 16_511_922, 16_519_114, 16_543_398],
+        );
+        check(
+            PrefetcherKind::DspatchPlusSpp,
+            13_052_483,
+            [12_921_851, 12_673_103, 13_052_483, 12_758_479],
+        );
     }
 
     fn doc(baseline: f64, spp: f64) -> Json {

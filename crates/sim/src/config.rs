@@ -172,11 +172,14 @@ pub struct SystemConfig {
     /// (an unbounded backlog previously grew to tens of thousands of
     /// queued fills).
     pub prefetch_mshrs: usize,
-    /// Whether the machine may fast-forward over provably idle /
-    /// closed-form cycles. On by default; disabling forces the reference
-    /// cycle-by-cycle loop, which produces **bit-identical results** (a
-    /// property test asserts this) at a large wall-clock cost. Exists so
-    /// the skip machinery's exactness stays falsifiable.
+    /// Whether the machine may fast-forward each core over its provably
+    /// idle / closed-form cycles. Each core keeps its own wake-up cycle:
+    /// the machine steps only the cores due at a cycle and jumps its clock
+    /// to the earliest wake-up. On by default; disabling forces the
+    /// reference loop that steps every core every cycle, which produces
+    /// **bit-identical results** (a property test asserts this) at a large
+    /// wall-clock cost. Exists so the skip machinery's exactness stays
+    /// falsifiable.
     pub cycle_skipping: bool,
     /// Upper bound on simulated cycles (guards against pathological
     /// configurations; 0 disables the guard).

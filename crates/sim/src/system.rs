@@ -121,6 +121,10 @@ struct CoreState {
     instructions: u64,
     finish_cycle: u64,
     finished: bool,
+    /// The next cycle at which the machine steps this core (`u64::MAX` once
+    /// it has finished). Cycle skipping advances the core in closed form up
+    /// to that cycle; 0 means "at the next cycle".
+    wake: u64,
     last_memory_completion: u64,
     /// Reusable request buffer for the L1 stride prefetcher (owned by the
     /// core so the per-access hot path never allocates in steady state).
@@ -340,6 +344,7 @@ fn build_cores(
                 instructions: 0,
                 finish_cycle: 0,
                 finished: false,
+                wake: 0,
                 last_memory_completion: 0,
                 l1_sink: PrefetchSink::new(),
                 l2_sink: PrefetchSink::new(),
@@ -454,19 +459,25 @@ impl Machine {
         }
     }
 
+    /// Advances the clock one cycle: due fills materialize, then every core
+    /// whose wake-up cycle has come runs in core order.
     fn step(&mut self) {
         self.cycle += 1;
         let cycle = self.cycle;
         self.drain_ready_fills(cycle);
         self.fab.dram.advance(cycle);
         for core in &mut self.cores {
-            step_core(core, &mut self.fab, &self.config, cycle);
+            if core.wake <= cycle {
+                step_core(core, &mut self.fab, &self.config, cycle);
+            }
         }
     }
 
-    /// Fast-forwards over cycles whose effect on every core is either
-    /// nothing (idle stall) or closed-form (steady gap-instruction
-    /// allocation). This is exact, not approximate:
+    /// Fast-forwards every core the last step ran over the cycles whose
+    /// effect on it is either nothing (idle stall) or closed-form (steady
+    /// gap-instruction allocation), sets its wake-up cycle to its next
+    /// event, and moves the clock to just before the earliest wake-up. This
+    /// is exact, not approximate:
     ///
     /// * An idle core's per-cycle work is empty — the retire loop breaks at
     ///   the ROB head and allocation is blocked — so skipping to the next
@@ -475,49 +486,58 @@ impl Machine {
     ///   (`width` allocations per cycle, matching retirements when the ROB
     ///   head is current, pure accumulation when it is blocked), so its
     ///   state after `k` such cycles is computed directly.
-    /// * Pending DRAM fills only mutate caches, which no skipped core
-    ///   touches; they materialize, in ready order, at the next stepped
-    ///   cycle before any core runs — exactly the order the cycle-by-cycle
-    ///   loop produces. The DRAM bandwidth tracker advances by window
-    ///   arithmetic and is jump-safe.
+    /// * Between a core's own events nothing else reads or writes its ROB,
+    ///   gap or load-buffer state, so other cores stepping in the meantime
+    ///   cannot change how far it may skip.
+    /// * Pending DRAM fills only mutate a core's caches and prefetch MSHR
+    ///   count, which a skipped core does not read; they materialize, in
+    ///   ready order, at the next stepped cycle before any core runs —
+    ///   exactly the order the cycle-by-cycle loop produces. The DRAM
+    ///   bandwidth tracker advances by window arithmetic and is jump-safe.
     ///
     /// Memory-bound and compute-gap phases — where simulated time
-    /// concentrates — therefore cost wall-clock per *event*, not per cycle.
+    /// concentrates — therefore cost wall-clock per *event* of each core,
+    /// not per cycle.
     fn skip_idle_cycles(&mut self) {
         if !self.config.cycle_skipping {
             return;
         }
-        let mut skip = u64::MAX;
-        for core in &self.cores {
-            skip = skip.min(core_skip_allowance(core, self.cycle, &self.config));
-            if skip == 0 {
-                return; // a core does non-trivial work next cycle
-            }
-        }
-        if skip == u64::MAX {
-            return; // all cores finished; the run loop exits
-        }
-        if self.config.max_cycles > 0 {
-            // Never jump past the safety valve's trigger point.
-            skip = skip.min((self.config.max_cycles + 1).saturating_sub(self.cycle + 1));
-        }
-        if skip == 0 {
-            return;
-        }
         let cycle = self.cycle;
+        // Never advance a core past the safety valve's trigger point.
+        let valve = if self.config.max_cycles > 0 {
+            self.config.max_cycles.saturating_sub(cycle)
+        } else {
+            u64::MAX
+        };
         let width = self.config.core.width;
         let rob_entries = self.config.core.rob_entries;
+        let mut next_wake = u64::MAX;
         for core in &mut self.cores {
-            advance_core_closed_form(core, cycle, skip, width, rob_entries);
+            if core.wake <= cycle {
+                let skip = core_skip_allowance(core, cycle, &self.config);
+                core.wake = if skip == u64::MAX {
+                    u64::MAX // finished
+                } else {
+                    let skip = skip.min(valve);
+                    if skip > 0 {
+                        advance_core_closed_form(core, cycle, skip, width, rob_entries);
+                    }
+                    cycle + skip + 1
+                };
+            }
+            next_wake = next_wake.min(core.wake);
         }
-        self.cycle += skip;
+        if next_wake != u64::MAX {
+            self.cycle = next_wake - 1; // `step` moves onto the wake-up
+        }
     }
 }
 
 /// How many upcoming cycles (starting at `cycle + 1`) this core can be
 /// advanced without stepping it, or `u64::MAX` if it is finished. Zero means
 /// the next cycle must run normally. Mirrors the conditions of `step_core`
-/// exactly; the machine skips the minimum across cores.
+/// exactly and reads only the core's own state, so the machine next steps
+/// the core at `cycle + allowance + 1` whatever the other cores do.
 fn core_skip_allowance(core: &CoreState, cycle: u64, config: &SystemConfig) -> u64 {
     {
         if core.finished {
@@ -802,6 +822,7 @@ impl Machine {
         for core in &mut self.cores {
             core.record_budget = u64::MAX;
             core.finished = false;
+            core.wake = 0;
             core.rob.clear();
             core.rob_len = 0;
             core.load_completions.clear();
@@ -830,6 +851,7 @@ impl Machine {
             core.instructions = 0;
             core.finish_cycle = 0;
             core.finished = false;
+            core.wake = 0;
             core.last_memory_completion = 0;
             core.rob.clear();
             core.rob_len = 0;
@@ -976,6 +998,7 @@ impl Machine {
             core.gap_remaining = core.pending.map_or(0, |r| r.gap);
             core.record_budget = u64::MAX;
             core.finished = false;
+            core.wake = 0;
             core.rob.clear();
             core.rob_len = 0;
             core.load_completions.clear();
@@ -1594,19 +1617,31 @@ mod tests {
     #[test]
     fn max_cycles_valve_terminates_multi_core_runs() {
         use dspatch_trace::{GeneratorSpec, SynthSource};
-        let mut config = SystemConfig::multi_programmed();
-        config.max_cycles = 10_000;
-        let mut builder = SimulationBuilder::new(config);
-        for seed in 0..4u64 {
-            let spec = GeneratorSpec::Stream(StreamGen::default());
-            builder = builder.with_core(
-                SynthSource::new("long", spec, seed, 200_000),
-                NullPrefetcher::new(),
-            );
-        }
-        let result = builder.run();
+        let run = |skipping: bool| {
+            let mut config = SystemConfig::multi_programmed();
+            config.max_cycles = 10_000;
+            config.cycle_skipping = skipping;
+            let mut builder = SimulationBuilder::new(config);
+            for seed in 0..4u64 {
+                // Gaps of different lengths put the cores in different
+                // phases when the valve trips.
+                let spec = GeneratorSpec::Stream(StreamGen {
+                    gap: 6 + 40 * seed as u32,
+                    ..StreamGen::default()
+                });
+                builder = builder.with_core(
+                    SynthSource::new("long", spec, seed, 200_000),
+                    NullPrefetcher::new(),
+                );
+            }
+            builder.run()
+        };
+        let result = run(true);
         assert!(result.cycles <= 10_000 + 1);
         assert_eq!(result.cores.len(), 4);
+        // Each core's fast-forward stops at the valve: a core advanced past
+        // it would report extra instructions.
+        assert_eq!(result, run(false));
     }
 
     #[test]
@@ -1877,6 +1912,34 @@ mod tests {
         let mut from_disk = machine();
         from_disk.restore(&reloaded).unwrap();
         assert_eq!(from_disk.run_interval(1_000), uninterrupted);
+    }
+
+    #[test]
+    fn each_interval_restarts_the_core_schedule() {
+        // Every interval restarts the clock at 0, so a wake-up cycle left
+        // over from the previous interval must not carry into the next. The
+        // low valve makes a stale schedule fail fast instead of idling up
+        // to the default one.
+        let mut config = SystemConfig::single_thread();
+        config.max_cycles = 100_000;
+        let machine = || {
+            SimulationBuilder::new(config.clone())
+                .with_core(
+                    stream_trace(8_000, 42),
+                    StreamPrefetcher::new(StreamConfig::default()),
+                )
+                .into_machine()
+        };
+        let mut original = machine();
+        original.run_functional(2_000);
+        original.run_interval(1_000);
+        let state = original.capture().unwrap();
+        let second = original.run_interval(1_000);
+
+        let mut restored = machine();
+        restored.restore(&state).unwrap();
+        assert_eq!(restored.run_interval(1_000), second);
+        assert_eq!(second.cycles, 12_755);
     }
 
     #[test]

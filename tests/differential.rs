@@ -303,24 +303,31 @@ fn stream_prefetcher_golden_requests() {
 }
 
 /// The cycle-skip fast-forward must be *exact*: a machine with
-/// `cycle_skipping` disabled steps every cycle through the reference loop,
-/// and the entire `SimResult` — instruction counts, finish cycles, total
-/// cycles, every cache/DRAM/pollution statistic — must be bit-identical. The
-/// inputs are single cores and 4-core mixes, whose cores contend for the
-/// shared LLC, in-flight fills and DRAM.
+/// `cycle_skipping` disabled steps every core every cycle through the
+/// reference loop, and the entire `SimResult` — instruction counts, finish
+/// cycles, total cycles, every cache/DRAM/pollution statistic — must be
+/// bit-identical. The inputs are single cores and 4-core mixes, whose cores
+/// contend for the shared LLC, in-flight fills and DRAM, with the
+/// `max_cycles` safety valve either off or cutting the run short.
 mod cycle_skip {
     use super::*;
     use dspatch_prefetchers::lineup;
     use dspatch_sim::{SimResult, SimulationBuilder, SystemConfig};
     use dspatch_trace::{Trace, TraceRecord};
 
-    fn run(traces: &[Vec<TraceRecord>], skipping: bool, prefetch: bool) -> SimResult {
+    fn run(
+        traces: &[Vec<TraceRecord>],
+        skipping: bool,
+        prefetch: bool,
+        max_cycles: u64,
+    ) -> SimResult {
         let mut config = if traces.len() > 1 {
             SystemConfig::multi_programmed()
         } else {
             SystemConfig::single_thread()
         };
         config.cycle_skipping = skipping;
+        config.max_cycles = max_cycles;
         let mut builder = SimulationBuilder::new(config);
         for records in traces {
             let prefetcher: Box<dyn Prefetcher> = if prefetch {
@@ -359,10 +366,20 @@ mod cycle_skip {
             traces in proptest::collection::vec(trace_strategy(), 4),
             mix in any::<bool>(),
             prefetch in any::<bool>(),
+            valve in any::<bool>(),
+            valve_percent in 1u64..100,
         ) {
             let cores = if mix { &traces[..] } else { &traces[..1] };
-            let skipped = run(cores, true, prefetch);
-            let reference = run(cores, false, prefetch);
+            // The safety valve is off (0) or trips part-way through the run,
+            // where every core's fast-forward must stop at it.
+            let max_cycles = if valve {
+                let length = run(cores, true, prefetch, 0).cycles;
+                (length * valve_percent / 100).max(1)
+            } else {
+                0
+            };
+            let skipped = run(cores, true, prefetch, max_cycles);
+            let reference = run(cores, false, prefetch, max_cycles);
             prop_assert_eq!(skipped, reference);
         }
     }
