@@ -249,7 +249,7 @@ fn main() {
                     .unwrap_or_else(|| fail(&format!("unknown figure '{name}' (see --list)")));
                 let scale =
                     resolve_scale(scale_name.as_deref(), None, threads).with_sampling(sampling);
-                let table = id.run(&scale);
+                let table = id.run(&scale).unwrap_or_else(|error| fail_typed(&error));
                 match format {
                     Format::Table => table.render(),
                     Format::Json => table.to_json().render(),

@@ -46,7 +46,6 @@ use dspatch_prefetchers::{SmsConfig, SmsPrefetcher};
 use dspatch_sim::{DramSpeedGrade, SimResult, SimulationBuilder, SystemConfig};
 use dspatch_trace::workloads::{category_suite, memory_intensive_suite, suite, WorkloadCategory};
 use dspatch_trace::{heterogeneous_mixes, homogeneous_mixes, WorkloadMix, WorkloadSpec};
-use dspatch_types::Prefetcher;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -107,13 +106,6 @@ impl PrefetcherSel {
             }
             PrefetcherSel::SmsPht(_) => Ok(()),
         }
-    }
-
-    /// Builds a fresh prefetcher instance behind the dynamic interface.
-    /// Delegates to [`PrefetcherSel::build_any`] so there is exactly one
-    /// construction table.
-    pub fn build(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.build_any())
     }
 
     /// Builds a fresh prefetcher instance as a statically dispatched
@@ -1526,7 +1518,13 @@ fn resolve_cells(spec: &CampaignSpec, scale: &RunScale) -> Result<Vec<ResolvedCe
             }
             if let Some(plan) = &scale.sampling {
                 plan.validate_for(scale.accesses_per_workload as u64)
-                    .map_err(|e| format!("cell '{}': {e}", cell.label))?;
+                    .map_err(|e| match e {
+                        // The caller wraps this in its own "invalid spec:".
+                        HarnessError::Spec { message } => {
+                            format!("cell '{}': {message}", cell.label)
+                        }
+                        other => format!("cell '{}': {other}", cell.label),
+                    })?;
                 if let Some(mix) = targets.iter().find_map(|t| match t {
                     Target::Mix(mix) => Some(mix),
                     Target::Workload(_) => None,
@@ -1682,13 +1680,13 @@ fn run_job(
     }))
 }
 
-/// Computes (or loads from `checkpoint_dir`) the neutral warm-up checkpoint
-/// for one (target, config) group of a sampled campaign. Returns the state
-/// and whether it was computed fresh (`true`) rather than loaded from disk.
 /// One warm-up group's result: the shared checkpoint plus whether it was
 /// freshly computed (`true`) or loaded from a checkpoint directory.
 type WarmupOutcome = Result<(std::sync::Arc<dspatch_sim::MachineState>, bool), HarnessError>;
 
+/// Computes (or loads from `checkpoint_dir`) the neutral warm-up checkpoint
+/// for one (target, config) group of a sampled campaign. Returns the state
+/// and whether it was computed fresh (`true`) rather than loaded from disk.
 fn warm_group(
     job: &Job,
     token: &str,

@@ -12,8 +12,10 @@
 //! `EXPERIMENTS.md` records the measured values next to the paper's.
 
 use crate::campaign::{
-    run_campaign, CampaignResult, CampaignSpec, CellSpec, ConfigSpec, PrefetcherSel, TargetSelector,
+    run_campaign_with, CampaignResult, CampaignSpec, CellSpec, ConfigSpec, ExecOptions,
+    PrefetcherSel, TargetSelector,
 };
+use crate::error::HarnessError;
 use crate::report::{percent, Table};
 use crate::runner::{geomean, PrefetcherKind, RunScale};
 use dspatch::{CompressedPattern, DsPatch, DsPatchConfig, SpatialPattern, StorageBreakdown};
@@ -27,9 +29,11 @@ fn sels(kinds: &[PrefetcherKind]) -> Vec<PrefetcherSel> {
     kinds.iter().copied().map(PrefetcherSel::Kind).collect()
 }
 
-fn run_figure_spec(spec: &CampaignSpec, scale: &RunScale) -> CampaignResult {
-    run_campaign(spec, scale)
-        .unwrap_or_else(|error| unreachable!("built-in figure spec rejected: {error}"))
+/// Runs a figure's campaign. A figure spec is fixed, but `scale` is not:
+/// a sampled scale the figure cannot honour (mixes, or a plan longer than
+/// the trace) comes back as the executor's [`HarnessError::Spec`].
+fn run_figure_spec(spec: &CampaignSpec, scale: &RunScale) -> Result<CampaignResult, HarnessError> {
+    run_campaign_with(spec, scale, &ExecOptions::default())
 }
 
 /// Performance of several prefetchers per workload category plus the
@@ -76,7 +80,7 @@ fn category_performance(
     kinds: &[PrefetcherKind],
     config: ConfigSpec,
     scale: &RunScale,
-) -> CategoryPerformance {
+) -> Result<CategoryPerformance, HarnessError> {
     let spec = CampaignSpec {
         name: figure.to_owned(),
         scale: None,
@@ -91,7 +95,7 @@ fn category_performance(
             })
             .collect(),
     };
-    let result = run_figure_spec(&spec, scale);
+    let result = run_figure_spec(&spec, scale)?;
     let mut rows = Vec::new();
     let mut per_kind_all: Vec<Vec<f64>> = vec![Vec::new(); kinds.len()];
     for category in WorkloadCategory::ALL {
@@ -108,16 +112,16 @@ fn category_performance(
     }
     let geomean_row: Vec<f64> = per_kind_all.iter().map(|s| geomean(s) - 1.0).collect();
     rows.push(("GEOMEAN".to_owned(), geomean_row));
-    CategoryPerformance {
+    Ok(CategoryPerformance {
         figure: figure.to_owned(),
         kinds: kinds.to_vec(),
         rows,
-    }
+    })
 }
 
 /// Figure 4: BOP, SMS and SPP per category over the baseline (1-channel
 /// DDR4-2133).
-pub fn fig4_baseline_prefetchers(scale: &RunScale) -> CategoryPerformance {
+pub fn fig4_baseline_prefetchers(scale: &RunScale) -> Result<CategoryPerformance, HarnessError> {
     category_performance(
         "Figure 4: BOP / SMS / SPP performance delta over baseline",
         &[
@@ -132,7 +136,7 @@ pub fn fig4_baseline_prefetchers(scale: &RunScale) -> CategoryPerformance {
 
 /// Figure 12: the full single-thread line-up including DSPatch and
 /// DSPatch+SPP.
-pub fn fig12_single_thread(scale: &RunScale) -> CategoryPerformance {
+pub fn fig12_single_thread(scale: &RunScale) -> Result<CategoryPerformance, HarnessError> {
     category_performance(
         "Figure 12: single-thread performance delta over baseline",
         &PrefetcherKind::standalone_lineup(),
@@ -142,7 +146,7 @@ pub fn fig12_single_thread(scale: &RunScale) -> CategoryPerformance {
 }
 
 /// Figure 14: adjunct prefetchers on top of SPP.
-pub fn fig14_adjuncts(scale: &RunScale) -> CategoryPerformance {
+pub fn fig14_adjuncts(scale: &RunScale) -> Result<CategoryPerformance, HarnessError> {
     category_performance(
         "Figure 14: adjunct prefetchers to SPP",
         &PrefetcherKind::adjunct_lineup(),
@@ -203,7 +207,11 @@ impl BandwidthScaling {
 
 /// One cell per DRAM configuration over the memory-intensive subset. The
 /// engine memoizes each (workload, DRAM config) baseline across all kinds.
-fn bandwidth_scaling(figure: &str, kinds: &[PrefetcherKind], scale: &RunScale) -> BandwidthScaling {
+fn bandwidth_scaling(
+    figure: &str,
+    kinds: &[PrefetcherKind],
+    scale: &RunScale,
+) -> Result<BandwidthScaling, HarnessError> {
     let sweep = SystemConfig::bandwidth_sweep();
     let spec = CampaignSpec {
         name: figure.to_owned(),
@@ -219,7 +227,7 @@ fn bandwidth_scaling(figure: &str, kinds: &[PrefetcherKind], scale: &RunScale) -
             })
             .collect(),
     };
-    let result = run_figure_spec(&spec, scale);
+    let result = run_figure_spec(&spec, scale)?;
     let mut points: Vec<BandwidthPoint> = sweep
         .iter()
         .map(|&(channels, speed)| {
@@ -240,14 +248,16 @@ fn bandwidth_scaling(figure: &str, kinds: &[PrefetcherKind], scale: &RunScale) -
         })
         .collect();
     points.sort_by(|a, b| a.peak_gbps.total_cmp(&b.peak_gbps));
-    BandwidthScaling {
+    Ok(BandwidthScaling {
         figure: figure.to_owned(),
         points,
-    }
+    })
 }
 
 /// Figure 1: BOP / SMS / SPP performance as peak DRAM bandwidth scales.
-pub fn fig1_bandwidth_scaling_baselines(scale: &RunScale) -> BandwidthScaling {
+pub fn fig1_bandwidth_scaling_baselines(
+    scale: &RunScale,
+) -> Result<BandwidthScaling, HarnessError> {
     bandwidth_scaling(
         "Figure 1: prefetcher performance scaling with DRAM bandwidth",
         &[
@@ -260,7 +270,7 @@ pub fn fig1_bandwidth_scaling_baselines(scale: &RunScale) -> BandwidthScaling {
 }
 
 /// Figure 6: adds the bandwidth-enhanced eSPP and eBOP variants.
-pub fn fig6_bandwidth_scaling_enhanced(scale: &RunScale) -> BandwidthScaling {
+pub fn fig6_bandwidth_scaling_enhanced(scale: &RunScale) -> Result<BandwidthScaling, HarnessError> {
     bandwidth_scaling(
         "Figure 6: bandwidth scaling including eSPP and eBOP",
         &[
@@ -275,7 +285,7 @@ pub fn fig6_bandwidth_scaling_enhanced(scale: &RunScale) -> BandwidthScaling {
 }
 
 /// Figure 15: adds eBOP+SPP and DSPatch+SPP.
-pub fn fig15_bandwidth_scaling_dspatch(scale: &RunScale) -> BandwidthScaling {
+pub fn fig15_bandwidth_scaling_dspatch(scale: &RunScale) -> Result<BandwidthScaling, HarnessError> {
     bandwidth_scaling(
         "Figure 15: performance scaling with DRAM bandwidth (DSPatch+SPP)",
         &[
@@ -322,7 +332,7 @@ impl SmsStorageSweep {
 /// cell whose four columns are parameterized [`PrefetcherSel::SmsPht`]
 /// variants; each workload's baseline simulates once for all four sweep
 /// points (previously once per point).
-pub fn fig5_sms_storage_sweep(scale: &RunScale) -> SmsStorageSweep {
+pub fn fig5_sms_storage_sweep(scale: &RunScale) -> Result<SmsStorageSweep, HarnessError> {
     use dspatch_prefetchers::{SmsConfig, SmsPrefetcher};
     const PHT_SIZES: [usize; 4] = [16 * 1024, 4 * 1024, 1024, 256];
     let spec = CampaignSpec::single_cell(
@@ -335,7 +345,7 @@ pub fn fig5_sms_storage_sweep(scale: &RunScale) -> SmsStorageSweep {
             baseline: true,
         },
     );
-    let result = run_figure_spec(&spec, scale);
+    let result = run_figure_spec(&spec, scale)?;
     let rows = PHT_SIZES
         .into_iter()
         .map(|entries| {
@@ -347,7 +357,7 @@ pub fn fig5_sms_storage_sweep(scale: &RunScale) -> SmsStorageSweep {
             (entries, storage_kb, geomean(&speedups) - 1.0)
         })
         .collect();
-    SmsStorageSweep { rows }
+    Ok(SmsStorageSweep { rows })
 }
 
 /// Figure 11: delta-occurrence distribution and the misprediction rate
@@ -480,7 +490,7 @@ impl MemoryIntensiveLine {
 }
 
 /// Figure 13: SMS, SPP and DSPatch+SPP on the memory-intensive subset.
-pub fn fig13_memory_intensive(scale: &RunScale) -> MemoryIntensiveLine {
+pub fn fig13_memory_intensive(scale: &RunScale) -> Result<MemoryIntensiveLine, HarnessError> {
     let kinds = vec![
         PrefetcherKind::Sms,
         PrefetcherKind::Spp,
@@ -496,7 +506,7 @@ pub fn fig13_memory_intensive(scale: &RunScale) -> MemoryIntensiveLine {
             baseline: true,
         },
     );
-    let result = run_figure_spec(&spec, scale);
+    let result = run_figure_spec(&spec, scale)?;
     let names: Vec<String> = result
         .rows_for_cell("memory-intensive")
         .filter(|row| row.prefetcher == kinds[0].label())
@@ -521,7 +531,7 @@ pub fn fig13_memory_intensive(scale: &RunScale) -> MemoryIntensiveLine {
         let last_b = b.1.last().copied().unwrap_or(0.0);
         last_a.total_cmp(&last_b)
     });
-    MemoryIntensiveLine { kinds, rows }
+    Ok(MemoryIntensiveLine { kinds, rows })
 }
 
 /// Figure 16: covered / uncovered / mispredicted fractions of L2 accesses.
@@ -571,7 +581,7 @@ impl CoverageReport {
 /// Figure 16: coverage and misprediction fractions per category for the
 /// standalone line-up plus DSPatch+SPP. Coverage needs raw statistics, not
 /// speedups, so the cells run without baselines.
-pub fn fig16_coverage(scale: &RunScale) -> CoverageReport {
+pub fn fig16_coverage(scale: &RunScale) -> Result<CoverageReport, HarnessError> {
     let kinds = [
         PrefetcherKind::Bop,
         PrefetcherKind::Sms,
@@ -592,7 +602,7 @@ pub fn fig16_coverage(scale: &RunScale) -> CoverageReport {
             })
             .collect(),
     };
-    let result = run_figure_spec(&spec, scale);
+    let result = run_figure_spec(&spec, scale)?;
     let mut rows = Vec::new();
     for category in WorkloadCategory::ALL {
         for kind in kinds {
@@ -612,7 +622,7 @@ pub fn fig16_coverage(scale: &RunScale) -> CoverageReport {
             ));
         }
     }
-    CoverageReport { rows }
+    Ok(CoverageReport { rows })
 }
 
 /// Figures 17 and 18: multi-programmed performance.
@@ -671,7 +681,7 @@ fn mix_rows(
 /// Figure 17: homogeneous 4-core mixes on the dual-channel DDR4-2133 system.
 /// Mixes run through the same shared-queue parallel executor as single-thread
 /// workloads (they were fully serial before the Campaign redesign).
-pub fn fig17_homogeneous(scale: &RunScale) -> MultiProgrammedReport {
+pub fn fig17_homogeneous(scale: &RunScale) -> Result<MultiProgrammedReport, HarnessError> {
     let kinds = [
         PrefetcherKind::Bop,
         PrefetcherKind::Sms,
@@ -689,14 +699,14 @@ pub fn fig17_homogeneous(scale: &RunScale) -> MultiProgrammedReport {
             baseline: true,
         },
     );
-    let result = run_figure_spec(&spec, scale);
-    MultiProgrammedReport {
+    let result = run_figure_spec(&spec, scale)?;
+    Ok(MultiProgrammedReport {
         rows: mix_rows(&result, label, &kinds),
-    }
+    })
 }
 
 /// Figure 18: homogeneous and heterogeneous mixes at DDR4-2133 and DDR4-2400.
-pub fn fig18_mixes_and_bandwidth(scale: &RunScale) -> MultiProgrammedReport {
+pub fn fig18_mixes_and_bandwidth(scale: &RunScale) -> Result<MultiProgrammedReport, HarnessError> {
     let kinds = [
         PrefetcherKind::Bop,
         PrefetcherKind::Sms,
@@ -731,12 +741,12 @@ pub fn fig18_mixes_and_bandwidth(scale: &RunScale) -> MultiProgrammedReport {
         scale: None,
         cells,
     };
-    let result = run_figure_spec(&spec, scale);
+    let result = run_figure_spec(&spec, scale)?;
     let mut rows = Vec::new();
     for cell in &spec.cells {
         rows.extend(mix_rows(&result, &cell.label, &kinds));
     }
-    MultiProgrammedReport { rows }
+    Ok(MultiProgrammedReport { rows })
 }
 
 /// Figure 19: the accuracy-biased-pattern ablation.
@@ -768,7 +778,7 @@ impl AblationReport {
 /// Figure 19: full DSPatch vs AlwaysCovP vs ModCovP (as adjuncts to SPP), on
 /// the memory-intensive subset with half the DRAM bandwidth per core so the
 /// bandwidth-driven selection matters.
-pub fn fig19_ablation(scale: &RunScale) -> AblationReport {
+pub fn fig19_ablation(scale: &RunScale) -> Result<AblationReport, HarnessError> {
     let kinds = [
         PrefetcherKind::DspatchPlusSpp,
         PrefetcherKind::AlwaysCovpPlusSpp,
@@ -784,7 +794,7 @@ pub fn fig19_ablation(scale: &RunScale) -> AblationReport {
             baseline: true,
         },
     );
-    let result = run_figure_spec(&spec, scale);
+    let result = run_figure_spec(&spec, scale)?;
     let rows = kinds
         .iter()
         .map(|kind| {
@@ -792,7 +802,7 @@ pub fn fig19_ablation(scale: &RunScale) -> AblationReport {
             (*kind, geomean(&speedups) - 1.0)
         })
         .collect();
-    AblationReport { rows }
+    Ok(AblationReport { rows })
 }
 
 /// Figure 20: pollution caused by an aggressive, inaccurate streamer.
@@ -825,7 +835,7 @@ impl PollutionReport {
 /// Figure 20: run the streamer on the workload suite with 8, 4 and 2 MB LLCs
 /// and classify the victims of its prefetch fills. Pure-statistics cells:
 /// no baselines are simulated.
-pub fn fig20_pollution(scale: &RunScale) -> PollutionReport {
+pub fn fig20_pollution(scale: &RunScale) -> Result<PollutionReport, HarnessError> {
     const LLC_SIZES: [(&str, usize); 3] = [("8MB", 8 << 20), ("4MB", 4 << 20), ("2MB", 2 << 20)];
     let spec = CampaignSpec {
         name: "Figure 20: prefetch pollution".to_owned(),
@@ -841,7 +851,7 @@ pub fn fig20_pollution(scale: &RunScale) -> PollutionReport {
             })
             .collect(),
     };
-    let result = run_figure_spec(&spec, scale);
+    let result = run_figure_spec(&spec, scale)?;
     let rows = LLC_SIZES
         .into_iter()
         .map(|(label, _)| {
@@ -856,7 +866,7 @@ pub fn fig20_pollution(scale: &RunScale) -> PollutionReport {
             (label.to_owned(), a, b, c)
         })
         .collect();
-    PollutionReport { rows }
+    Ok(PollutionReport { rows })
 }
 
 /// Table 1: DSPatch storage budget.
@@ -1002,7 +1012,7 @@ mod tests {
 
     #[test]
     fn fig4_produces_a_row_per_category_plus_geomean() {
-        let fig = fig4_baseline_prefetchers(&tiny());
+        let fig = fig4_baseline_prefetchers(&tiny()).expect("figure runs");
         assert_eq!(fig.rows.len(), 10);
         assert!(fig.geomean_delta(PrefetcherKind::Spp).is_some());
         assert!(fig.to_table().render().contains("GEOMEAN"));
@@ -1010,14 +1020,14 @@ mod tests {
 
     #[test]
     fn fig19_reports_all_three_variants() {
-        let ablation = fig19_ablation(&tiny());
+        let ablation = fig19_ablation(&tiny()).expect("figure runs");
         assert_eq!(ablation.rows.len(), 3);
         assert!(ablation.delta_of(PrefetcherKind::DspatchPlusSpp).is_some());
     }
 
     #[test]
     fn fig20_fractions_are_valid() {
-        let report = fig20_pollution(&tiny());
+        let report = fig20_pollution(&tiny()).expect("figure runs");
         assert_eq!(report.rows.len(), 3);
         for (_, a, b, c) in &report.rows {
             let sum = a + b + c;
@@ -1027,7 +1037,7 @@ mod tests {
 
     #[test]
     fn fig5_sweeps_four_pht_sizes_with_one_baseline_each() {
-        let sweep = fig5_sms_storage_sweep(&tiny());
+        let sweep = fig5_sms_storage_sweep(&tiny()).expect("figure runs");
         assert_eq!(sweep.rows.len(), 4);
         // Rows are ordered largest PHT first and storage shrinks with it.
         assert!(sweep.rows[0].1 > sweep.rows[3].1);

@@ -1,8 +1,9 @@
 //! The named-figure registry: every table and figure of the paper,
-//! addressable by name for the `dspatch-lab` CLI, the benchmark targets and
-//! the parity tests. Each entry routes through the same campaign-backed
-//! experiment functions in [`crate::experiments`].
+//! addressable by name for the `dspatch-lab` CLI and the parity tests. Each
+//! entry routes through the same campaign-backed experiment functions in
+//! [`crate::experiments`].
 
+use crate::error::HarnessError;
 use crate::experiments;
 use crate::report::Table;
 use crate::runner::RunScale;
@@ -137,25 +138,31 @@ impl FigureId {
     /// simulation-backed figures all run through the shared campaign engine;
     /// Figure 11 is pure trace analysis and Tables 1/3 are static storage
     /// arithmetic, so `scale` does not affect the latter two.
-    pub fn run(self, scale: &RunScale) -> Table {
-        match self {
-            FigureId::Fig1 => experiments::fig1_bandwidth_scaling_baselines(scale).to_table(),
-            FigureId::Fig4 => experiments::fig4_baseline_prefetchers(scale).to_table(),
-            FigureId::Fig5 => experiments::fig5_sms_storage_sweep(scale).to_table(),
-            FigureId::Fig6 => experiments::fig6_bandwidth_scaling_enhanced(scale).to_table(),
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HarnessError::Spec`] when the figure cannot run at `scale`:
+    /// a sampled scale on a figure that simulates multi-core mixes, or a
+    /// sampling plan longer than the scale's traces.
+    pub fn run(self, scale: &RunScale) -> Result<Table, HarnessError> {
+        Ok(match self {
+            FigureId::Fig1 => experiments::fig1_bandwidth_scaling_baselines(scale)?.to_table(),
+            FigureId::Fig4 => experiments::fig4_baseline_prefetchers(scale)?.to_table(),
+            FigureId::Fig5 => experiments::fig5_sms_storage_sweep(scale)?.to_table(),
+            FigureId::Fig6 => experiments::fig6_bandwidth_scaling_enhanced(scale)?.to_table(),
             FigureId::Fig11 => experiments::fig11_delta_and_compression(scale).to_table(),
-            FigureId::Fig12 => experiments::fig12_single_thread(scale).to_table(),
-            FigureId::Fig13 => experiments::fig13_memory_intensive(scale).to_table(),
-            FigureId::Fig14 => experiments::fig14_adjuncts(scale).to_table(),
-            FigureId::Fig15 => experiments::fig15_bandwidth_scaling_dspatch(scale).to_table(),
-            FigureId::Fig16 => experiments::fig16_coverage(scale).to_table(),
-            FigureId::Fig17 => experiments::fig17_homogeneous(scale).to_table(),
-            FigureId::Fig18 => experiments::fig18_mixes_and_bandwidth(scale).to_table(),
-            FigureId::Fig19 => experiments::fig19_ablation(scale).to_table(),
-            FigureId::Fig20 => experiments::fig20_pollution(scale).to_table(),
+            FigureId::Fig12 => experiments::fig12_single_thread(scale)?.to_table(),
+            FigureId::Fig13 => experiments::fig13_memory_intensive(scale)?.to_table(),
+            FigureId::Fig14 => experiments::fig14_adjuncts(scale)?.to_table(),
+            FigureId::Fig15 => experiments::fig15_bandwidth_scaling_dspatch(scale)?.to_table(),
+            FigureId::Fig16 => experiments::fig16_coverage(scale)?.to_table(),
+            FigureId::Fig17 => experiments::fig17_homogeneous(scale)?.to_table(),
+            FigureId::Fig18 => experiments::fig18_mixes_and_bandwidth(scale)?.to_table(),
+            FigureId::Fig19 => experiments::fig19_ablation(scale)?.to_table(),
+            FigureId::Fig20 => experiments::fig20_pollution(scale)?.to_table(),
             FigureId::Table1 => experiments::table1_storage(),
             FigureId::Table3 => experiments::table3_prefetcher_storage(),
-        }
+        })
     }
 }
 
@@ -190,7 +197,8 @@ mod tests {
             threads: 1,
             sampling: None,
         };
-        assert!(FigureId::Table1.run(&scale).render().contains("SPT"));
-        assert!(FigureId::Table3.run(&scale).render().contains("DSPatch"));
+        let render = |id: FigureId| id.run(&scale).expect("static table").render();
+        assert!(render(FigureId::Table1).contains("SPT"));
+        assert!(render(FigureId::Table3).contains("DSPatch"));
     }
 }

@@ -5,17 +5,16 @@
 //! [`CampaignSpec`] describes a grid of (workload-or-mix × prefetcher ×
 //! system-config) cells, and one shared-queue parallel executor runs the grid with
 //! every baseline simulation **memoized** per (target, config). Each
-//! `figNN_*` / `tableN_*` function in [`experiments`] is a thin spec over
-//! that engine preserving its original signature, the [`figures`] registry
-//! names them all, and the `dspatch-lab` binary runs any named figure, a
-//! custom JSON spec file, or an external trace file (`--trace-file`,
-//! streamed with O(1) memory). The [`runner::RunScale`] parameter controls
-//! how many workloads and how many accesses per workload are simulated, so
-//! the same code scales from a seconds-long smoke run (`RunScale::smoke()`)
-//! to a laptop-scale full sweep (`RunScale::full()`) — and because every
-//! workload streams into the machine as a lazy
-//! [`dspatch_trace::SynthSource`], memory stays flat however many accesses
-//! a scale asks for.
+//! simulation-backed `figNN_*` function in [`experiments`] is a thin spec
+//! over that engine, the [`figures`] registry names them all, and the
+//! `dspatch-lab` binary runs any named figure, a custom JSON spec file, or
+//! an external trace file (`--trace-file`, streamed with O(1) memory). The
+//! [`runner::RunScale`] parameter controls how many workloads and how many
+//! accesses per workload are simulated, so the same code scales from a
+//! seconds-long smoke run (`RunScale::smoke()`) to a laptop-scale full
+//! sweep (`RunScale::full()`) — and because every workload streams into
+//! the machine as a lazy [`dspatch_trace::SynthSource`], memory stays flat
+//! however many accesses a scale asks for.
 //!
 //! # Example
 //!

@@ -599,6 +599,25 @@ mod tests {
         );
         assert!(!report.summary().is_empty());
         assert_eq!(report.host_cpus, host_cpus());
+
+        // One attribution row per line-up kind, in order, under its spec
+        // name; the baseline and DSPatch+SPP rows reuse the headline runs.
+        let lineup = attribution_lineup();
+        assert_eq!(report.per_prefetcher.len(), lineup.len());
+        let per_prefetcher = parsed.get("per_prefetcher").expect("per_prefetcher");
+        for (kind, (name, row)) in lineup.into_iter().zip(&report.per_prefetcher) {
+            assert_eq!(*name, kind.spec_name());
+            assert_eq!(row.accesses, 400, "{name}");
+            assert!(row.cycles > 0, "{name}");
+            assert!(per_prefetcher.get(name).is_some(), "{name}");
+            match kind {
+                PrefetcherKind::Baseline => assert_eq!(*row, report.baseline_single_thread),
+                PrefetcherKind::DspatchPlusSpp => {
+                    assert_eq!(*row, report.dspatch_spp_single_thread)
+                }
+                _ => {}
+            }
+        }
     }
 
     /// Pins the exact machine's timing on the snapshot's 4-core mix — the

@@ -174,7 +174,7 @@ impl PrefetcherKind {
 }
 
 /// How much work an experiment does. Every figure function takes a scale so
-/// the same code serves smoke tests, `cargo bench` and full reproductions.
+/// the same code serves smoke tests and full reproductions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunScale {
     /// Memory accesses simulated per workload.
@@ -204,8 +204,8 @@ impl RunScale {
         }
     }
 
-    /// The scale used by `cargo bench`: small enough to run every figure in
-    /// minutes, large enough for stable trends.
+    /// Small enough to run every figure in minutes, large enough for
+    /// stable trends.
     pub fn quick() -> Self {
         Self {
             accesses_per_workload: 6_000,

@@ -159,6 +159,19 @@ impl CoreState {
             }
         }
     }
+
+    /// Drops the core's in-flight timing state (ROB, load buffer, prefetch
+    /// MSHRs), marks it unfinished and due at the next cycle. Caches,
+    /// predictors and the trace position are untouched. Called wherever
+    /// the machine clock restarts.
+    fn reset_timing(&mut self) {
+        self.finished = false;
+        self.wake = 0;
+        self.rob.clear();
+        self.rob_len = 0;
+        self.load_completions.clear();
+        self.inflight_prefetches = 0;
+    }
 }
 
 impl std::fmt::Debug for CoreState {
@@ -293,10 +306,11 @@ impl SimulationBuilder {
 /// Process-wide count of simulations started, see [`simulations_started`].
 static SIMULATIONS_STARTED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// Process-wide count of [`SimulationBuilder::run`] invocations since the
-/// process started. Purely diagnostic: the experiment harness's tests use
-/// the delta across a campaign to prove baseline runs are memoized rather
-/// than re-simulated per prefetcher column.
+/// Process-wide count of simulations started: every
+/// [`SimulationBuilder::run`] and [`SimulationBuilder::into_machine`] call
+/// since the process began. Purely diagnostic: the experiment harness's
+/// tests use the delta across a campaign to prove baseline runs are
+/// memoized rather than re-simulated per prefetcher column.
 pub fn simulations_started() -> u64 {
     SIMULATIONS_STARTED.load(std::sync::atomic::Ordering::Relaxed)
 }
@@ -821,16 +835,10 @@ impl Machine {
         // would be by a context switch).
         for core in &mut self.cores {
             core.record_budget = u64::MAX;
-            core.finished = false;
-            core.wake = 0;
-            core.rob.clear();
-            core.rob_len = 0;
-            core.load_completions.clear();
-            core.inflight_prefetches = 0;
+            core.reset_timing();
             core.last_memory_completion = 0;
         }
-        self.fab.pending.clear();
-        self.fab.ready_queue = ReadyQueue::new();
+        self.fab.reset_timing();
         result
     }
 
@@ -839,8 +847,7 @@ impl Machine {
     /// cache contents, predictor state or trace position.
     fn begin_interval(&mut self) {
         self.cycle = 0;
-        self.fab.pending.clear();
-        self.fab.ready_queue = ReadyQueue::new();
+        self.fab.reset_timing();
         self.fab.pollution = PollutionTracker::default();
         self.fab.llc.reset_stats();
         self.fab.dram.reset_interval();
@@ -850,13 +857,8 @@ impl Machine {
             core.accounting = PrefetchAccounting::default();
             core.instructions = 0;
             core.finish_cycle = 0;
-            core.finished = false;
-            core.wake = 0;
             core.last_memory_completion = 0;
-            core.rob.clear();
-            core.rob_len = 0;
-            core.load_completions.clear();
-            core.inflight_prefetches = 0;
+            core.reset_timing();
         }
     }
 
@@ -997,12 +999,7 @@ impl Machine {
             core.pending = core.source.next_record();
             core.gap_remaining = core.pending.map_or(0, |r| r.gap);
             core.record_budget = u64::MAX;
-            core.finished = false;
-            core.wake = 0;
-            core.rob.clear();
-            core.rob_len = 0;
-            core.load_completions.clear();
-            core.inflight_prefetches = 0;
+            core.reset_timing();
         }
         self.fab.llc.load_state(&mut reader)?;
         self.fab.dram.load_state(&mut reader)?;
@@ -1011,8 +1008,7 @@ impl Machine {
         pollution.counts.prefetched_before_use = reader.get_u64()?;
         pollution.counts.bad_pollution = reader.get_u64()?;
         self.fab.pollution = pollution;
-        self.fab.pending.clear();
-        self.fab.ready_queue = ReadyQueue::new();
+        self.fab.reset_timing();
         reader.expect_end()?;
         Ok(())
     }
@@ -1312,6 +1308,12 @@ fn issue_l1_prefetch(
 }
 
 impl SharedFabric {
+    /// Abandons every in-flight DRAM fill, as a context switch would.
+    fn reset_timing(&mut self) {
+        self.pending.clear();
+        self.ready_queue = ReadyQueue::new();
+    }
+
     /// Probes L2, LLC, the in-flight fills and DRAM for a demand access that
     /// already missed the L1. Returns `(latency beyond the L1 probe, l2_hit)`
     /// and performs the fills/accounting.

@@ -28,7 +28,7 @@ fn baselines_simulate_once_per_workload_and_config() {
     let workloads = 9;
     let kinds = 3;
     let before = simulations_started();
-    let fig = experiments::fig4_baseline_prefetchers(&scale);
+    let fig = experiments::fig4_baseline_prefetchers(&scale).expect("figure runs");
     let ran = (simulations_started() - before) as usize;
     assert_eq!(fig.rows.len(), 10, "9 categories + GEOMEAN");
     assert_eq!(
@@ -45,7 +45,7 @@ fn baselines_simulate_once_per_workload_and_config() {
     // 9-workload suite — baselines must be shared across all four sweep
     // points (pre-redesign: simulated per point).
     let before = simulations_started();
-    let sweep = experiments::fig5_sms_storage_sweep(&scale);
+    let sweep = experiments::fig5_sms_storage_sweep(&scale).expect("figure runs");
     let ran = (simulations_started() - before) as usize;
     assert_eq!(sweep.rows.len(), 4);
     assert_eq!(ran, workloads * (4 + 1));

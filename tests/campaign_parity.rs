@@ -46,7 +46,7 @@ fn direct_speedups(
 #[test]
 fn fig4_matches_the_pre_redesign_direct_computation() {
     let scale = tiny();
-    let fig = dspatch_harness::experiments::fig4_baseline_prefetchers(&scale);
+    let fig = dspatch_harness::experiments::fig4_baseline_prefetchers(&scale).expect("figure runs");
     let kinds = [
         PrefetcherKind::Bop,
         PrefetcherKind::Sms,
@@ -81,7 +81,7 @@ fn fig4_matches_the_pre_redesign_direct_computation() {
 #[test]
 fn fig17_matches_the_pre_redesign_direct_computation() {
     let scale = tiny();
-    let fig = dspatch_harness::experiments::fig17_homogeneous(&scale);
+    let fig = dspatch_harness::experiments::fig17_homogeneous(&scale).expect("figure runs");
     let kinds = [
         PrefetcherKind::Bop,
         PrefetcherKind::Sms,
@@ -116,7 +116,7 @@ fn fig17_matches_the_pre_redesign_direct_computation() {
 #[test]
 fn fig19_matches_the_pre_redesign_direct_computation() {
     let scale = tiny();
-    let fig = dspatch_harness::experiments::fig19_ablation(&scale);
+    let fig = dspatch_harness::experiments::fig19_ablation(&scale).expect("figure runs");
     let config = SystemConfig::single_thread().with_dram(1, DramSpeedGrade::Ddr4_1600);
     let workloads = scale.select_workloads(dspatch_trace::workloads::memory_intensive_suite());
     for (kind, delta) in &fig.rows {
@@ -128,7 +128,7 @@ fn fig19_matches_the_pre_redesign_direct_computation() {
 #[test]
 fn fig5_matches_the_pre_redesign_direct_computation() {
     let scale = tiny();
-    let fig = dspatch_harness::experiments::fig5_sms_storage_sweep(&scale);
+    let fig = dspatch_harness::experiments::fig5_sms_storage_sweep(&scale).expect("figure runs");
     let workloads = scale.select_workloads(suite());
     let config = SystemConfig::single_thread();
     for (entries, _, delta) in &fig.rows {
@@ -159,7 +159,9 @@ fn every_named_figure_runs_through_the_registry() {
         sampling: None,
     };
     for id in FigureId::ALL {
-        let table = id.run(&scale);
+        let table = id
+            .run(&scale)
+            .unwrap_or_else(|error| panic!("{}: {error}", id.name()));
         let text = table.render();
         assert!(!text.trim().is_empty(), "{} rendered empty", id.name());
         assert!(

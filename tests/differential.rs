@@ -311,7 +311,7 @@ fn stream_prefetcher_golden_requests() {
 /// `max_cycles` safety valve either off or cutting the run short.
 mod cycle_skip {
     use super::*;
-    use dspatch_prefetchers::lineup;
+    use dspatch_prefetchers::any::composites;
     use dspatch_sim::{SimResult, SimulationBuilder, SystemConfig};
     use dspatch_trace::{Trace, TraceRecord};
 
@@ -331,7 +331,7 @@ mod cycle_skip {
         let mut builder = SimulationBuilder::new(config);
         for records in traces {
             let prefetcher: Box<dyn Prefetcher> = if prefetch {
-                lineup::dspatch_plus_spp()
+                Box::new(composites::dspatch_plus_spp())
             } else {
                 Box::new(dspatch_types::NullPrefetcher::new())
             };

@@ -147,6 +147,37 @@ fn removed_resume_flags_are_unknown_arguments() {
 }
 
 #[test]
+fn sampled_figures_the_scale_cannot_serve_are_spec_errors() {
+    // The figure's own campaign decides what a sampled scale cannot run:
+    // fig17 simulates 4-core mixes, and a plan longer than the 1,200-access
+    // smoke trace cannot be placed. Both exit 3 with the executor's message.
+    let sampled = |figure, plan| ["--figure", figure, "--scale", "smoke", "--sample", plan];
+    for (figure, plan, message) in [
+        (
+            "fig17",
+            "warmup=100,interval=100,n=2",
+            "sampled scales are single-core-only",
+        ),
+        (
+            "fig12",
+            "warmup=100000,interval=100,n=2",
+            "sampling plan needs 100200 accesses",
+        ),
+    ] {
+        let (code, stderr) = dspatch_lab_fails(&sampled(figure, plan));
+        assert_eq!(code, 3, "{figure} {plan}: {stderr}");
+        assert!(
+            stderr.starts_with("dspatch-lab: invalid spec: cell '") && stderr.contains(message),
+            "{figure} {plan}: {stderr}"
+        );
+        assert_eq!(stderr.matches("invalid spec").count(), 1, "{stderr}");
+    }
+    // A plan that fits a single-core figure still runs.
+    let table = dspatch_lab(&sampled("fig12", "warmup=100,interval=100,n=2"));
+    assert!(table.contains("Figure 12"), "{table}");
+}
+
+#[test]
 fn damaged_and_foreign_stores_exit_with_their_class_codes() {
     let dir = std::env::temp_dir().join("dspatch-lab-cli-damaged-store");
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,6 +1,5 @@
 //! Cross-crate integration tests: trace generation → prefetchers → simulator
-//! → harness metrics, exercising the public API the way the examples and the
-//! benchmark harness do.
+//! → harness metrics, exercising the public API the way the examples do.
 
 use dspatch_harness::experiments;
 use dspatch_harness::runner::{run_mix, run_workload, PrefetcherKind, RunScale};
