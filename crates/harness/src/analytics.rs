@@ -1,6 +1,5 @@
 //! Columnar analytics over the result store: one query engine behind
-//! `dspatch-lab query`, `GET /query`, and the perf-snapshot regression
-//! gate.
+//! `dspatch-lab query` and `GET /query`.
 //!
 //! A [`ColumnarView`] is loaded once from a [`ResultStore`] (or any row
 //! set) and holds **per-field vectors** — identity columns as string/`u64`
@@ -469,35 +468,6 @@ impl ColumnarView {
             coverage_ci,
             accuracy_ci,
         ];
-        view
-    }
-
-    /// Builds a single-metric view from bare `(workload, code_version,
-    /// value)` observations — how the perf-snapshot gate loads its two
-    /// documents as a two-version trend input.
-    pub fn from_named_metric(metric: &str, entries: &[(String, String, f64)]) -> Self {
-        let rows = entries.len();
-        let mut view = Self {
-            identity: Field::ALL
-                .iter()
-                .map(|&f| (f, vec![String::new(); rows]))
-                .collect(),
-            scale: vec![0; rows],
-            legacy: vec![false; rows],
-            metrics: vec![(metric.to_owned(), Vec::with_capacity(rows))],
-            rows,
-        };
-        for (index, (workload, code_version, value)) in entries.iter().enumerate() {
-            for (field, column) in &mut view.identity {
-                match field {
-                    Field::Workload => column[index] = workload.clone(),
-                    Field::CodeVersion => column[index] = code_version.clone(),
-                    Field::Fingerprint => column[index] = format!("{workload}@{code_version}"),
-                    _ => {}
-                }
-            }
-            view.metrics[0].1.push(*value);
-        }
         view
     }
 
@@ -1136,39 +1106,5 @@ mod tests {
         assert!(raw.columns.contains(&"ipc".to_owned()));
         assert!(!raw.columns.contains(&"speedup".to_owned()));
         assert!(!raw.columns.contains(&"ipc_ci95".to_owned()));
-    }
-
-    #[test]
-    fn named_metric_views_drive_version_trends() {
-        let view = ColumnarView::from_named_metric(
-            "normalized_throughput",
-            &[
-                ("four_core".to_owned(), "committed".to_owned(), 1.0),
-                ("four_core".to_owned(), "measured".to_owned(), 0.9),
-                ("baseline".to_owned(), "committed".to_owned(), 1.0),
-                ("baseline".to_owned(), "measured".to_owned(), 1.0),
-            ],
-        );
-        let query = Query {
-            group_by: vec![Field::Workload],
-            agg: Some(Agg::Mean),
-            metric: Some("normalized_throughput".to_owned()),
-            trend: true,
-            ..Query::default()
-        };
-        let output = view.run(&query).expect("runs");
-        assert_eq!(
-            output.columns,
-            vec![
-                "workload",
-                "code_version",
-                "mean_normalized_throughput",
-                "count"
-            ]
-        );
-        assert_eq!(output.rows.len(), 4);
-        // Canonical order: workload-major, then version.
-        assert_eq!(output.rows[0][0], Json::str("baseline"));
-        assert_eq!(output.rows[2][0], Json::str("four_core"));
     }
 }

@@ -259,9 +259,8 @@ fn main() {
             (None, Some(path)) => {
                 let text = std::fs::read_to_string(path)
                     .unwrap_or_else(|e| fail_typed(&HarnessError::io(path, "read", &e)));
-                let spec = CampaignSpec::parse(&text).unwrap_or_else(|e| {
-                    fail_typed(&HarnessError::spec(format!("invalid spec {path}: {e}")))
-                });
+                let spec = CampaignSpec::parse(&text)
+                    .unwrap_or_else(|e| fail_typed(&HarnessError::spec(format!("{path}: {e}"))));
                 let scale = resolve_scale(scale_name.as_deref(), spec.scale.as_ref(), threads)
                     .with_sampling(sampling.or_else(|| {
                         // A spec file's embedded custom scale may carry its own
@@ -567,7 +566,9 @@ fn run_store(args: &[String]) {
 }
 
 /// `--scale` wins, then a spec file's embedded scale, then smoke.
-/// `--threads` overrides whichever was chosen.
+/// `--threads` overrides whichever was chosen. A `--scale` name that does
+/// not resolve is a usage error (exit 2); an embedded scale that does not
+/// is an invalid spec (exit 3).
 fn resolve_scale(
     flag: Option<&str>,
     embedded: Option<&dspatch_harness::campaign::ScaleSpec>,
@@ -578,7 +579,7 @@ fn resolve_scale(
             .unwrap_or_else(|| fail(&format!("unknown scale '{name}' (smoke/quick/full)"))),
         (None, Some(spec)) => spec
             .resolve()
-            .unwrap_or_else(|e| fail(&format!("spec scale: {e}"))),
+            .unwrap_or_else(|e| fail_typed(&HarnessError::spec(format!("scale: {e}")))),
         (None, None) => RunScale::smoke(),
     };
     if let Some(threads) = threads {

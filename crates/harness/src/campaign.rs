@@ -644,12 +644,18 @@ impl ScaleSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message for an unknown preset name or a non-zero
-    /// `sim_workers`.
+    /// Returns a message for an unknown preset name, a zero
+    /// `accesses_per_workload` or a non-zero `sim_workers`.
     pub fn resolve(&self) -> Result<RunScale, String> {
         match self {
             ScaleSpec::Preset(name) => RunScale::preset(name)
                 .ok_or_else(|| format!("unknown scale preset '{name}' (smoke/quick/full)")),
+            // Zero accesses would simulate nothing and report IPC 0 and a
+            // 1.0x speedup on every row.
+            ScaleSpec::Custom {
+                accesses_per_workload: 0,
+                ..
+            } => Err("custom scale 'accesses_per_workload' must be at least 1".to_owned()),
             ScaleSpec::Custom { sim_workers, .. } if *sim_workers != 0 => Err(format!(
                 "custom scale 'sim_workers' must be 0 (got {sim_workers}): multi-core \
                  simulations run single-threaded on the exact machine"
@@ -2243,6 +2249,26 @@ mod tests {
         assert!(custom(0).resolve().is_ok());
         let err = custom(2).resolve().unwrap_err();
         assert!(err.contains("'sim_workers' must be 0"), "{err}");
+    }
+
+    #[test]
+    fn custom_scales_refuse_zero_accesses() {
+        // A scale that simulates nothing would report IPC 0 and a 1.0x
+        // speedup on every row. The CLI and the service both resolve a
+        // spec's scale here.
+        let resolve = |accesses: usize| {
+            let json = Json::parse(&format!(
+                r#"{{"accesses_per_workload": {accesses}, "workloads_per_category": 1, "mixes": 1}}"#
+            ))
+            .expect("valid JSON");
+            ScaleSpec::from_json(&json).expect("parses").resolve()
+        };
+        let err = resolve(0).unwrap_err();
+        assert!(
+            err.contains("'accesses_per_workload' must be at least 1"),
+            "{err}"
+        );
+        assert!(resolve(1).is_ok());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! (shared-queue parallelism, baselines memoized per (target, config)),
 //! and the function aggregates the resulting speedups into its
 //! figure-shaped report. The absolute numbers come from the
-//! synthetic-workload substitution documented in `DESIGN.md`;
-//! `EXPERIMENTS.md` records the measured values next to the paper's.
+//! synthetic-workload substitution documented in the `dspatch-trace` crate
+//! docs and README's opening paragraph.
 
 use crate::campaign::{
     run_campaign_with, CampaignResult, CampaignSpec, CellSpec, ConfigSpec, ExecOptions,
@@ -22,7 +22,7 @@ use dspatch::{CompressedPattern, DsPatch, DsPatchConfig, SpatialPattern, Storage
 use dspatch_sim::{DramConfig, DramSpeedGrade, SystemConfig};
 use dspatch_trace::workloads::{category_suite, suite, WorkloadCategory};
 use dspatch_trace::TraceSource;
-use dspatch_types::{Prefetcher, LINES_PER_PAGE};
+use dspatch_types::Prefetcher;
 use std::collections::BTreeMap;
 
 fn sels(kinds: &[PrefetcherKind]) -> Vec<PrefetcherSel> {
@@ -965,7 +965,6 @@ pub fn dspatch_introspection(scale: &RunScale) -> Table {
         "SPT occupancy".into(),
         format!("{:.1}%", prefetcher.spt().occupancy() * 100.0),
     ]);
-    let _ = LINES_PER_PAGE; // referenced for documentation purposes
     table
 }
 

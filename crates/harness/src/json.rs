@@ -5,8 +5,8 @@
 //! emitter and a strict parser. Everything in the
 //! repository that produces or consumes JSON — [`crate::report::Table`],
 //! [`crate::campaign::CampaignSpec`] files, [`crate::campaign::CampaignResult`]
-//! reports and the `perf_snapshot` throughput document — goes through
-//! [`Json`], so there is exactly one emitter to keep correct.
+//! reports, result-store rows and query output — goes through [`Json`], so
+//! there is exactly one emitter to keep correct.
 
 use std::fmt;
 

@@ -39,7 +39,6 @@ pub mod experiments;
 pub mod faults;
 pub mod figures;
 pub mod json;
-pub mod perf;
 pub mod report;
 pub mod results;
 pub mod runner;

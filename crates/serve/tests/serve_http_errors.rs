@@ -77,6 +77,30 @@ fn routing_parsing_and_drain_errors_are_typed() {
         .expect("message")
         .to_owned();
     assert!(message.contains("invalid campaign spec"), "got: {message}");
+    // A valid spec whose scale would simulate nothing.
+    let zero = r#"{
+        "name": "zero",
+        "scale": {"accesses_per_workload": 0, "workloads_per_category": 1, "mixes": 1},
+        "cells": [{
+            "label": "cloud",
+            "targets": {"category": "cloud"},
+            "prefetchers": ["spp"],
+            "config": {"base": "single_thread"},
+            "baseline": true
+        }]
+    }"#;
+    let (status, _, body) = http_request(addr, "POST", "/campaigns", Some(zero)).expect("400");
+    assert_eq!(status, 400);
+    let message = body_json(&body)
+        .get("error")
+        .and_then(Json::as_str)
+        .expect("message")
+        .to_owned();
+    assert!(
+        message.starts_with("invalid campaign scale: ")
+            && message.contains("'accesses_per_workload' must be at least 1"),
+        "got: {message}"
+    );
 
     // Oversized bodies are refused from the Content-Length alone, before a
     // single body byte is read (so this request never sends one).

@@ -1694,6 +1694,47 @@ mod tests {
         assert_eq!(run(true), run(false));
     }
 
+    /// Pins the exact machine's timing on a 4-core spatial mix — the
+    /// machine-wide cycle count and every core's own finish cycle and
+    /// instruction count — so any change to multi-core timing, including
+    /// on a core that finishes before the slowest one, shows up as a
+    /// failing number.
+    #[test]
+    fn four_core_mix_matches_the_exact_machine() {
+        use dspatch_prefetchers::any::composites;
+        let check = |prefetcher: fn() -> AnyPrefetcher, cycles: u64, finish_cycles: [u64; 4]| {
+            let mut builder = SimulationBuilder::new(SystemConfig::multi_programmed());
+            for core in 0..4u64 {
+                let records = SpatialPatternGen {
+                    layouts: 6,
+                    density: 10,
+                    reorder_window: 3,
+                    working_set_pages: 1 << 17,
+                    gap: 40,
+                }
+                .generate_records(0xC0DE + core, 60_000);
+                builder =
+                    builder.with_core(Trace::new(format!("core{core}"), records), prefetcher());
+            }
+            let result = builder.run();
+            assert_eq!(result.cycles, cycles);
+            let finished: Vec<u64> = result.cores.iter().map(|c| c.finish_cycle).collect();
+            assert_eq!(finished, finish_cycles);
+            let instructions: Vec<u64> = result.cores.iter().map(|c| c.instructions).collect();
+            assert_eq!(instructions, [2_460_000; 4]);
+        };
+        check(
+            || NullPrefetcher::new().into(),
+            16_543_398,
+            [16_510_847, 16_511_922, 16_519_114, 16_543_398],
+        );
+        check(
+            || composites::dspatch_plus_spp().into(),
+            13_052_483,
+            [12_921_851, 12_673_103, 13_052_483, 12_758_479],
+        );
+    }
+
     #[test]
     fn sharing_dram_slows_cores_down() {
         // The same workload on a 4-core system with shared channels should

@@ -7,7 +7,7 @@
 //! category (streaming, strided, spatially-clustered with out-of-order
 //! reordering, sparse-irregular, pointer-chasing, code-heavy), so that the
 //! relative behaviour of the prefetchers — the quantity every figure reports
-//! — is preserved. See `DESIGN.md` for the substitution rationale.
+//! — is preserved.
 //!
 //! * [`TraceRecord`] / [`Trace`] — the trace representation consumed by the
 //!   simulator (`dspatch-sim`).

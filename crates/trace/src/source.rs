@@ -259,8 +259,8 @@ impl TraceSource for SynthSource {
     }
 }
 
-/// Sources played back to back, preserving O(1) memory (used e.g. by the
-/// perf snapshot's multi-phase scenario trace).
+/// Sources played back to back, preserving O(1) memory: a multi-phase
+/// trace built from one source per phase.
 pub struct ChainSource {
     name: String,
     parts: Vec<Box<dyn TraceSource>>,

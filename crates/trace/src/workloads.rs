@@ -4,8 +4,8 @@
 //! 42-workload memory-intensive subset for the line graph of Figure 13 and
 //! the multi-programmed mixes. This module defines the synthetic stand-ins:
 //! each named workload is a seeded [`GeneratorSpec`] whose structure mirrors
-//! the paper's description of that category (see the crate docs and
-//! `DESIGN.md` for the substitution argument).
+//! the paper's description of that category (see the crate docs for the
+//! substitution argument).
 
 use crate::record::Trace;
 use crate::source::SynthSource;

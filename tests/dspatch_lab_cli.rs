@@ -178,6 +178,58 @@ fn sampled_figures_the_scale_cannot_serve_are_spec_errors() {
 }
 
 #[test]
+fn invalid_spec_files_exit_3_with_one_prefix() {
+    let dir = std::env::temp_dir().join("dspatch-lab-cli-invalid-specs");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    // Each case edits SMOKE_SPEC once; `PATH` in the expected message
+    // stands for the spec file's path.
+    let smoke_scale =
+        r#"{"accesses_per_workload": 500, "workloads_per_category": 1, "mixes": 1, "threads": 2}"#;
+    for (name, from, to, expected) in [
+        (
+            "bogus.json",
+            r#""label": "cloud","#,
+            r#""label": "cloud", "bogus": 1,"#,
+            "PATH: cell: unknown key 'bogus'",
+        ),
+        (
+            "huge.json",
+            smoke_scale,
+            r#""huge""#,
+            "scale: unknown scale preset 'huge'",
+        ),
+        (
+            "zero.json",
+            r#""accesses_per_workload": 500"#,
+            r#""accesses_per_workload": 0"#,
+            "scale: custom scale 'accesses_per_workload' must be at least 1",
+        ),
+    ] {
+        assert!(SMOKE_SPEC.contains(from), "{name}");
+        let path = dir.join(name);
+        std::fs::write(&path, SMOKE_SPEC.replacen(from, to, 1)).expect("write spec");
+        let path = path.to_str().expect("utf-8 path");
+        let (code, stderr) = dspatch_lab_fails(&["--spec", path]);
+        assert_eq!(code, 3, "{name}: {stderr}");
+        let expected = format!(
+            "dspatch-lab: invalid spec: {}",
+            expected.replace("PATH", path)
+        );
+        assert!(stderr.starts_with(&expected), "{name}: {stderr}");
+        assert_eq!(stderr.matches("invalid spec").count(), 1, "{stderr}");
+    }
+    // An unknown --scale on the command line stays a usage error.
+    let valid = dir.join("valid.json");
+    std::fs::write(&valid, SMOKE_SPEC).expect("write spec");
+    let valid = valid.to_str().expect("utf-8 path");
+    let (code, stderr) = dspatch_lab_fails(&["--spec", valid, "--scale", "huge"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown scale 'huge'"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn damaged_and_foreign_stores_exit_with_their_class_codes() {
     let dir = std::env::temp_dir().join("dspatch-lab-cli-damaged-store");
     let _ = std::fs::remove_dir_all(&dir);
