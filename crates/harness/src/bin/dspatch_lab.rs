@@ -57,7 +57,7 @@ use dspatch_harness::runner::{PrefetcherKind, RunScale};
 use dspatch_harness::{CampaignSpec, HarnessError, ResultStore, Table};
 use dspatch_sim::{SimulationBuilder, SystemConfig};
 use dspatch_trace::io::open_trace_source;
-use dspatch_trace::suite;
+use dspatch_trace::{suite, LengthHint};
 
 enum Format {
     Table,
@@ -401,6 +401,13 @@ fn replay_trace_file(path: &str, prefetchers: Option<&str>) -> Table {
     let source = open_trace_source(std::path::Path::new(path))
         .unwrap_or_else(|e| fail_typed(&HarnessError::from(e)));
     let meta = source.meta();
+    // An empty trace would replay nothing and report IPC 0 and a 1.0x
+    // speedup on every row.
+    if meta.accesses == LengthHint::Exact(0) {
+        fail_typed(&HarnessError::spec(format!(
+            "{path}: trace holds no records"
+        )));
+    }
     let kinds: Vec<PrefetcherKind> = prefetchers
         .unwrap_or("dspatch_plus_spp")
         .split(',')

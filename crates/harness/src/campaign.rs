@@ -3,22 +3,28 @@
 //! A campaign is a grid of [`CellSpec`]s — each a cross-product of targets
 //! (workloads or multi-programmed mixes), prefetcher selections and a system
 //! configuration — described by a JSON-serializable [`CampaignSpec`] and
-//! executed by [`run_campaign`]. The executor
+//! executed by [`run_campaign_with`], the one way in ([`run_campaign`] is
+//! its default-options shorthand). It validates the spec against the
+//! workload suite, then runs four phases in order:
 //!
-//! * **deduplicates simulations**: each unique (target, prefetcher, config)
-//!   triple simulates exactly once per campaign, however many cells request
-//!   it — in particular the no-L2-prefetcher **baseline is memoized**, so a
-//!   figure with K prefetcher columns runs each (workload, config) baseline
-//!   once instead of K times;
-//! * runs the deduplicated job list on a **self-scheduling worker pool**: a shared
-//!   atomic cursor over a cost-sorted job queue, drained by scoped threads
-//!   (`RunScale::threads` workers, which presets default to
-//!   `std::thread::available_parallelism`), so long mix simulations no
-//!   longer serialize behind short single-core ones;
-//! * returns a [`CampaignResult`] holding every [`SimResult`] plus one row
-//!   per (cell, target, prefetcher), renderable as an ASCII table, JSON or
-//!   CSV, and queryable by the figure-specific aggregations in
-//!   [`crate::experiments`].
+//! 1. **plan** deduplicates the grid into jobs: each unique (target,
+//!    prefetcher, config) triple simulates exactly once per campaign,
+//!    however many cells request it. In particular the no-L2-prefetcher
+//!    **baseline is memoized**, so a figure with K prefetcher columns runs
+//!    each (workload, config) baseline once instead of K times;
+//! 2. **warm** (sampled scales only) computes one neutral warm-up checkpoint
+//!    per (target, config) group and forks it across the group's columns;
+//! 3. **run** simulates every job the result store does not already hold,
+//!    mix simulations first so they never strand at the tail of the queue;
+//! 4. **assemble** returns a [`CampaignResult`] holding every [`SimResult`]
+//!    plus one row per (cell, target, prefetcher), renderable as an ASCII
+//!    table, JSON or CSV, and queryable by the figure-specific aggregations
+//!    in [`crate::experiments`].
+//!
+//! Warm-up and run share one **self-scheduling worker pool**:
+//! `RunScale::threads` scoped workers (presets default to
+//! `std::thread::available_parallelism`) claim the next item from a shared
+//! atomic cursor, and the first error stops further claims.
 //!
 //! Every `fig*`/`table*` function in [`crate::experiments`] is a thin spec
 //! over this engine, and the `dspatch-lab` binary runs either a named figure
@@ -46,7 +52,7 @@ use dspatch_prefetchers::{SmsConfig, SmsPrefetcher};
 use dspatch_sim::{DramSpeedGrade, SimResult, SimulationBuilder, SystemConfig};
 use dspatch_trace::workloads::{category_suite, memory_intensive_suite, suite, WorkloadCategory};
 use dspatch_trace::{heterogeneous_mixes, homogeneous_mixes, WorkloadMix, WorkloadSpec};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -850,7 +856,12 @@ impl CampaignSpec {
         let cells = json
             .get("cells")
             .and_then(Json::as_arr)
-            .ok_or("campaign spec needs a 'cells' array")?
+            .ok_or("campaign spec needs a 'cells' array")?;
+        // An empty grid would run nothing and print an empty result.
+        if cells.is_empty() {
+            return Err("campaign spec needs at least one cell".to_owned());
+        }
+        let cells = cells
             .iter()
             .map(CellSpec::from_json)
             .collect::<Result<Vec<_>, _>>()?;
@@ -938,23 +949,18 @@ impl Target {
     }
 }
 
-/// A resolved cell: concrete targets, ready for the executor. Figure code
-/// that starts from explicit [`WorkloadSpec`]s (rather than suite names)
-/// builds these directly and calls [`run_cells`].
+/// A cell [`resolve_cells`] validated: concrete targets, ready for the
+/// executor.
 #[derive(Debug, Clone)]
-pub struct ResolvedCell {
-    /// Cell label.
-    pub label: String,
-    /// Concrete targets.
-    pub targets: Vec<Target>,
-    /// Prefetcher columns.
-    pub prefetchers: Vec<PrefetcherSel>,
-    /// Concrete system configuration.
-    pub config: SystemConfig,
+struct ResolvedCell {
+    label: String,
+    targets: Vec<Target>,
+    prefetchers: Vec<PrefetcherSel>,
+    config: SystemConfig,
     /// Config label shown in reports.
-    pub config_label: String,
+    config_label: String,
     /// Whether to simulate (memoized) baselines for speedup rows.
-    pub baseline: bool,
+    baseline: bool,
 }
 
 /// Executor accounting, the observable proof of memoization.
@@ -1307,7 +1313,7 @@ impl CellOutcome {
 
 /// One executor progress notification, delivered through
 /// [`ExecOptions::progress`]. Cached cells (store hits) are
-/// announced up-front, before the worker pool starts; fresh and quarantined
+/// announced up-front, before the run phase starts; fresh and quarantined
 /// cells as they finish.
 #[derive(Debug, Clone)]
 pub enum ProgressEvent {
@@ -1445,6 +1451,19 @@ impl Job {
         }
         builder.run()
     }
+
+    /// The [`ProgressEvent::CellFinished`] announcing this job.
+    fn finished(&self, outcome: CellOutcome, completed: usize, total: usize) -> ProgressEvent {
+        ProgressEvent::CellFinished {
+            key: self.key.clone(),
+            target: self.target.name().to_owned(),
+            prefetcher: self.sel.label(),
+            config: self.config_label.clone(),
+            outcome,
+            completed,
+            total,
+        }
+    }
 }
 
 /// Resolves a declarative spec against the workload suite and runs it.
@@ -1575,26 +1594,6 @@ fn resolve_cells(spec: &CampaignSpec, scale: &RunScale) -> Result<Vec<ResolvedCe
         .collect::<Result<Vec<_>, String>>()
 }
 
-/// Executes resolved cells: deduplicates (target, prefetcher, config) jobs,
-/// memoizes baselines, and drains the job queue with a pool of workers that
-/// each claim the next job from a shared atomic cursor (self-scheduling,
-/// not per-worker deques).
-///
-/// # Panics
-///
-/// Panics if two cells share a label: [`CampaignResult::rows_for_cell`] and
-/// [`CampaignResult::speedups`] key on the label, so duplicates would
-/// silently pool unrelated cells. (Spec files get the same condition as a
-/// clean error from [`run_campaign`] before any work happens.)
-pub fn run_cells(name: &str, cells: &[ResolvedCell], scale: &RunScale) -> CampaignResult {
-    match execute_cells(name, cells, scale, &ExecOptions::default()) {
-        Ok(result) => result,
-        // The default options configure no store, so no fallible I/O path
-        // exists; cell failures surface as quarantines, not errors.
-        Err(error) => unreachable!("store-less execution cannot fail: {error}"),
-    }
-}
-
 /// Locks a mutex, recovering the guard if a panicking thread poisoned it —
 /// the executor's shared state (store handle, first-error slot) stays
 /// usable because every write through it is a single self-contained record.
@@ -1648,14 +1647,13 @@ fn attempt_job(
     })
 }
 
+/// A job's outcome: its simulation, or the quarantine record of a job that
+/// failed every attempt.
+type JobOutcome = Result<SimResult, Box<CellFailure>>;
+
 /// Runs one job to completion or quarantine: up to `retry.attempts` isolated
 /// attempts with deterministic exponential backoff between them.
-fn run_job(
-    job: &Job,
-    scale: &RunScale,
-    opts: &ExecOptions,
-    retries: &AtomicUsize,
-) -> Result<SimResult, Box<CellFailure>> {
+fn run_job(job: &Job, scale: &RunScale, opts: &ExecOptions, retries: &AtomicUsize) -> JobOutcome {
     let attempts = opts.retry.attempts.max(1);
     let mut last: Option<HarnessError> = None;
     for attempt in 1..=attempts {
@@ -1730,111 +1728,73 @@ fn warm_group(
     Ok((std::sync::Arc::new(state), true))
 }
 
-/// The executor behind [`run_cells`] and [`run_campaign_with`].
+/// The executor's one worker pool: up to `threads` scoped workers claim
+/// the indices `0..count` in order from a shared atomic cursor
+/// (self-scheduling, not per-worker deques) and run `work` on each. The
+/// first `Err` stops further claims and is returned; a worker that panics
+/// anyway becomes [`HarnessError::CellPanic`]. On success the results come
+/// back in index order.
+fn drain<T: Send>(
+    threads: usize,
+    count: usize,
+    work: impl Fn(usize) -> Result<T, HarnessError> + Sync,
+) -> Result<Vec<T>, HarnessError> {
+    let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let first_error: Mutex<Option<HarnessError>> = Mutex::new(None);
+    let worker = || {
+        let mut local = Vec::new();
+        while !stop.load(Ordering::Relaxed) {
+            let next = cursor.fetch_add(1, Ordering::Relaxed);
+            if next >= count {
+                break;
+            }
+            match work(next) {
+                Ok(value) => local.push((next, value)),
+                Err(error) => {
+                    lock_unpoisoned(&first_error).get_or_insert(error);
+                    stop.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+        local
+    };
+    let mut done = Vec::with_capacity(count);
+    let mut worker_panic = None;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.clamp(1, count.max(1)))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(local) => done.extend(local),
+                Err(payload) => {
+                    worker_panic = Some(HarnessError::CellPanic {
+                        job: "<executor worker>".to_owned(),
+                        message: panic_message(payload),
+                    });
+                }
+            }
+        }
+    });
+    if let Some(error) = lock_unpoisoned(&first_error).take().or(worker_panic) {
+        return Err(error);
+    }
+    // Without an error every index was claimed once and produced a value.
+    done.sort_unstable_by_key(|(index, _)| *index);
+    Ok(done.into_iter().map(|(_, value)| value).collect())
+}
+
+/// The executor behind [`run_campaign_with`]: plan the jobs, serve what the
+/// store already holds, warm the rest (sampled scales), run them on the
+/// pool and assemble the result.
 fn execute_cells(
     name: &str,
     cells: &[ResolvedCell],
     scale: &RunScale,
     opts: &ExecOptions,
 ) -> Result<CampaignResult, HarnessError> {
-    let mut labels = std::collections::HashSet::new();
-    for cell in cells {
-        assert!(
-            labels.insert(cell.label.as_str()),
-            "duplicate cell label '{}': every cell needs a unique label",
-            cell.label
-        );
-    }
-
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut job_index: HashMap<String, usize> = HashMap::new();
-    let mut configs: Vec<SystemConfig> = Vec::new();
-    let mut memo_hits = 0usize;
-    let mut rows: Vec<CampaignRow> = Vec::new();
-
-    for cell in cells {
-        // Deduplicated config index, part of each job's memoization key.
-        let cfg = configs
-            .iter()
-            .position(|c| c == &cell.config)
-            .unwrap_or_else(|| {
-                configs.push(cell.config.clone());
-                configs.len() - 1
-            });
-        for target in &cell.targets {
-            let target_key = target.key();
-            let ensure = |jobs: &mut Vec<Job>,
-                          job_index: &mut HashMap<String, usize>,
-                          memo_hits: &mut usize,
-                          sel: PrefetcherSel| {
-                let key = format!("{target_key}|c{cfg}|{sel:?}");
-                if let Some(&existing) = job_index.get(&key) {
-                    *memo_hits += 1;
-                    return existing;
-                }
-                let index = jobs.len();
-                job_index.insert(key.clone(), index);
-                let config = cell.config.clone();
-                let fingerprint = crate::store::cell_fingerprint_sampled(
-                    &target_key,
-                    &format!("{sel:?}"),
-                    &config,
-                    scale.accesses_per_workload,
-                    scale.sampling.as_ref(),
-                );
-                jobs.push(Job {
-                    key,
-                    fingerprint,
-                    target: target.clone(),
-                    sel,
-                    config,
-                    config_label: cell.config_label.clone(),
-                    warm: None,
-                });
-                index
-            };
-            let baseline = cell.baseline.then(|| {
-                ensure(
-                    &mut jobs,
-                    &mut job_index,
-                    &mut memo_hits,
-                    PrefetcherSel::Kind(PrefetcherKind::Baseline),
-                )
-            });
-            for sel in &cell.prefetchers {
-                let sim = ensure(&mut jobs, &mut job_index, &mut memo_hits, *sel);
-                rows.push(CampaignRow {
-                    cell: cell.label.clone(),
-                    target: target.name().to_owned(),
-                    config: cell.config_label.clone(),
-                    prefetcher: sel.label(),
-                    sim,
-                    baseline,
-                });
-            }
-        }
-    }
-
-    // Every store row carries the cell's identity spelled out as one
-    // canonical ResultRow, so the analytics layer can filter and group
-    // without re-deriving anything.
-    let sampling_suffix = scale
-        .sampling
-        .as_ref()
-        .map(crate::sampling::SamplingPlan::fingerprint_suffix)
-        .unwrap_or_default();
-    let row_of = |job: &Job, sim: &SimResult| {
-        ResultRow::new(
-            job.fingerprint.clone(),
-            name.to_owned(),
-            job.target.name().to_owned(),
-            job.sel.label(),
-            job.config_label.clone(),
-            scale.accesses_per_workload as u64,
-            sampling_suffix.clone(),
-            sim.clone(),
-        )
-    };
+    let (mut jobs, rows, memo_hits) = plan_jobs(cells, scale);
 
     // Store replay: cells already simulated by any prior campaign — an
     // earlier, killed run of this one, another request's grid or a previous
@@ -1849,227 +1809,234 @@ fn execute_cells(
         }
         None => vec![None; jobs.len()],
     };
-    let skip: Vec<bool> = replayed.iter().map(Option::is_some).collect();
+    let warmups_run = match &scale.sampling {
+        Some(plan) => warm_jobs(&mut jobs, &replayed, plan, scale, opts)?,
+        None => 0,
+    };
 
-    // Sampled scales: one neutral warm-up checkpoint per (target, config)
-    // group, computed (or loaded from `checkpoint_dir`) before the worker
-    // pool starts and forked across every prefetcher column of the group.
-    let mut warmups_run = 0usize;
-    if let Some(plan) = &scale.sampling {
-        let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
-        for (index, job) in jobs.iter().enumerate() {
-            if skip[index] {
-                continue;
+    // Progress: announce the resolved grid, then every store-served cell
+    // (in job-discovery order) before the run phase starts.
+    let store_hits = replayed.iter().flatten().count();
+    if let Some(sink) = &opts.progress {
+        sink(&ProgressEvent::Started {
+            total: jobs.len(),
+            cached: store_hits,
+        });
+        let cached_jobs = jobs.iter().zip(&replayed).filter(|(_, sim)| sim.is_some());
+        for (announced, (job, _)) in cached_jobs.enumerate() {
+            sink(&job.finished(CellOutcome::Store, announced + 1, jobs.len()));
+        }
+    }
+
+    let threads = scale.threads.clamp(1, jobs.len().max(1));
+    let retries = AtomicUsize::new(0);
+    let mut outcomes = run_jobs(name, &jobs, &replayed, scale, opts, threads, &retries)?;
+    outcomes.extend(
+        replayed
+            .into_iter()
+            .enumerate()
+            .filter_map(|(index, sim)| Some((index, Ok(sim?)))),
+    );
+    let stats = ExecStats {
+        memo_hits,
+        threads,
+        store_hits,
+        retries: retries.into_inner(),
+        warmups_run,
+        ..ExecStats::default()
+    };
+    let result = assemble(name, &jobs, rows, outcomes, stats);
+    if let Some(sink) = &opts.progress {
+        sink(&ProgressEvent::Finished {
+            sims: result.sims.len(),
+            quarantined: result.failures.len(),
+        });
+    }
+    Ok(result)
+}
+
+/// Plan phase: deduplicates the cells' (target, prefetcher, config) jobs —
+/// the no-L2-prefetcher baseline included, so it simulates once per
+/// (target, config) however many columns use it — and lays out one row per
+/// (cell, target, prefetcher) indexing into them. Also returns how many
+/// requests the memo table served.
+fn plan_jobs(cells: &[ResolvedCell], scale: &RunScale) -> (Vec<Job>, Vec<CampaignRow>, usize) {
+    let mut jobs: Vec<Job> = Vec::new();
+    let mut job_index: HashMap<String, usize> = HashMap::new();
+    let mut configs: Vec<&SystemConfig> = Vec::new();
+    let mut memo_hits = 0usize;
+    let mut rows: Vec<CampaignRow> = Vec::new();
+    for cell in cells {
+        // Deduplicated config index, part of each job's memoization key.
+        let cfg = configs
+            .iter()
+            .position(|c| *c == &cell.config)
+            .unwrap_or_else(|| {
+                configs.push(&cell.config);
+                configs.len() - 1
+            });
+        for target in &cell.targets {
+            let target_key = target.key();
+            let mut ensure = |sel: PrefetcherSel| {
+                let key = format!("{target_key}|c{cfg}|{sel:?}");
+                if let Some(&existing) = job_index.get(&key) {
+                    memo_hits += 1;
+                    return existing;
+                }
+                job_index.insert(key.clone(), jobs.len());
+                jobs.push(Job {
+                    key,
+                    fingerprint: crate::store::cell_fingerprint_sampled(
+                        &target_key,
+                        &format!("{sel:?}"),
+                        &cell.config,
+                        scale.accesses_per_workload,
+                        scale.sampling.as_ref(),
+                    ),
+                    target: target.clone(),
+                    sel,
+                    config: cell.config.clone(),
+                    config_label: cell.config_label.clone(),
+                    warm: None,
+                });
+                jobs.len() - 1
+            };
+            let baseline = cell
+                .baseline
+                .then(|| ensure(PrefetcherSel::Kind(PrefetcherKind::Baseline)));
+            for sel in &cell.prefetchers {
+                rows.push(CampaignRow {
+                    cell: cell.label.clone(),
+                    target: target.name().to_owned(),
+                    config: cell.config_label.clone(),
+                    prefetcher: sel.label(),
+                    sim: ensure(*sel),
+                    baseline,
+                });
             }
+        }
+    }
+    (jobs, rows, memo_hits)
+}
+
+/// Warm phase (sampled scales): one neutral warm-up checkpoint per
+/// (target, config) group of the jobs the store did not serve, computed on
+/// the pool (or loaded from `checkpoint_dir`) and forked across every
+/// prefetcher column of the group. Returns how many were computed.
+fn warm_jobs(
+    jobs: &mut [Job],
+    replayed: &[Option<SimResult>],
+    plan: &SamplingPlan,
+    scale: &RunScale,
+    opts: &ExecOptions,
+) -> Result<usize, HarnessError> {
+    let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+    for (index, job) in jobs.iter().enumerate() {
+        if replayed[index].is_none() {
             let token = crate::sampling::checkpoint_token(&job.target.key(), &job.config, plan);
             groups.entry(token).or_default().push(index);
         }
-        let groups: Vec<(String, Vec<usize>)> = groups.into_iter().collect();
-        let warm_cursor = AtomicUsize::new(0);
-        let warm_threads = scale.threads.clamp(1, groups.len().max(1));
-        let mut warmed: Vec<Option<WarmupOutcome>> = Vec::new();
-        warmed.resize_with(groups.len(), || None);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(warm_threads);
-            for _ in 0..warm_threads {
-                let groups = &groups;
-                let jobs = &jobs;
-                let warm_cursor = &warm_cursor;
-                let checkpoint_dir = opts.checkpoint_dir.as_deref();
-                handles.push(scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let next = warm_cursor.fetch_add(1, Ordering::Relaxed);
-                        if next >= groups.len() {
-                            break;
-                        }
-                        let (token, indices) = &groups[next];
-                        let job = &jobs[indices[0]];
-                        local.push((next, warm_group(job, token, plan, scale, checkpoint_dir)));
-                    }
-                    local
-                }));
-            }
-            for handle in handles {
-                // Warm-up closures don't panic on simulation content (the
-                // plan was validated in resolve_cells); a join failure is
-                // an executor bug and surfaces as the slot staying empty.
-                if let Ok(local) = handle.join() {
-                    for (index, outcome) in local {
-                        warmed[index] = Some(outcome);
-                    }
-                }
-            }
-        });
-        for ((_, indices), slot) in groups.iter().zip(warmed) {
-            let (state, computed) = slot.ok_or_else(|| HarnessError::CellPanic {
-                job: jobs[indices[0]].key.clone(),
-                message: "warm-up worker died before reporting".to_owned(),
-            })??;
-            if computed {
-                warmups_run += 1;
-            }
-            for &index in indices {
-                jobs[index].warm = Some(state.clone());
-            }
+    }
+    let groups: Vec<(String, Vec<usize>)> = groups.into_iter().collect();
+    let warmed = drain(scale.threads, groups.len(), |group| {
+        let (token, indices) = &groups[group];
+        let checkpoint_dir = opts.checkpoint_dir.as_deref();
+        warm_group(&jobs[indices[0]], token, plan, scale, checkpoint_dir)
+    })?;
+    let mut computed = 0;
+    for ((_, indices), (state, fresh)) in groups.iter().zip(warmed) {
+        computed += usize::from(fresh);
+        for &index in indices {
+            jobs[index].warm = Some(state.clone());
         }
     }
+    Ok(computed)
+}
 
-    // Progress: announce the resolved grid, then every store-served cell
-    // (in job-discovery order) before the worker pool starts.
-    let total_jobs = jobs.len();
-    let store_hits = skip.iter().filter(|&&hit| hit).count();
-    if let Some(sink) = &opts.progress {
-        sink(&ProgressEvent::Started {
-            total: total_jobs,
-            cached: store_hits,
-        });
-        let cached_jobs = jobs.iter().zip(&skip).filter(|(_, &hit)| hit);
-        for (announced, (job, _)) in cached_jobs.enumerate() {
-            sink(&ProgressEvent::CellFinished {
-                key: job.key.clone(),
-                target: job.target.name().to_owned(),
-                prefetcher: job.sel.label(),
-                config: job.config_label.clone(),
-                outcome: CellOutcome::Store,
-                completed: announced + 1,
-                total: total_jobs,
-            });
+/// Run phase: drains the jobs the store did not serve on the pool, in cost
+/// order — multi-core mixes first, so the longest simulations never strand
+/// at the tail of the queue. Each worker appends its fresh result to the
+/// store and announces it; a failed append stops the campaign. Returns
+/// each job's index with its outcome.
+fn run_jobs(
+    name: &str,
+    jobs: &[Job],
+    replayed: &[Option<SimResult>],
+    scale: &RunScale,
+    opts: &ExecOptions,
+    threads: usize,
+    retries: &AtomicUsize,
+) -> Result<Vec<(usize, JobOutcome)>, HarnessError> {
+    let mut pending: Vec<usize> = (0..jobs.len())
+        .filter(|&index| replayed[index].is_none())
+        .collect();
+    pending.sort_by_key(|&index| std::cmp::Reverse(jobs[index].target.cores()));
+    // Every store row carries the cell's identity spelled out as one
+    // canonical ResultRow, so the analytics layer can filter and group
+    // without re-deriving anything.
+    let sampling_suffix = scale
+        .sampling
+        .as_ref()
+        .map(SamplingPlan::fingerprint_suffix)
+        .unwrap_or_default();
+    let completed = AtomicUsize::new(jobs.len() - pending.len());
+    let outcomes = drain(threads, pending.len(), |next| {
+        let job = &jobs[pending[next]];
+        let outcome = run_job(job, scale, opts, retries);
+        // Durable store append, one flushed record per fresh result: it
+        // becomes addressable by all future campaigns (a killed run's re-run
+        // included). The lock is taken after the (multi-second) simulation,
+        // so it never serializes actual work. A write failure voids the
+        // store's guarantee and is fatal for the campaign.
+        if let (Some(shared), Ok(sim)) = (&opts.store, &outcome) {
+            let row = ResultRow::new(
+                job.fingerprint.clone(),
+                name.to_owned(),
+                job.target.name().to_owned(),
+                job.sel.label(),
+                job.config_label.clone(),
+                scale.accesses_per_workload as u64,
+                sampling_suffix.clone(),
+                sim.clone(),
+            );
+            lock_unpoisoned(shared).insert(&row)?;
         }
-    }
-
-    // Cost-sorted execution order: multi-core mixes first so the longest
-    // simulations never strand at the tail of the queue.
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].target.cores()));
-
-    let threads = scale.threads.clamp(1, jobs.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let retries = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(store_hits);
-    let write_error: Mutex<Option<HarnessError>> = Mutex::new(None);
-
-    let mut slots: Vec<Option<Result<SimResult, Box<CellFailure>>>> = Vec::new();
-    slots.resize_with(jobs.len(), || None);
-    for (slot, sim) in slots.iter_mut().zip(replayed) {
-        if let Some(sim) = sim {
-            *slot = Some(Ok(sim));
+        if let Some(sink) = &opts.progress {
+            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+            let how = if outcome.is_ok() {
+                CellOutcome::Fresh
+            } else {
+                CellOutcome::Quarantined
+            };
+            sink(&job.finished(how, done, jobs.len()));
         }
-    }
-    let mut worker_panic: Option<HarnessError> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let jobs = &jobs;
-            let order = &order;
-            let skip = &skip;
-            let cursor = &cursor;
-            let stop = &stop;
-            let retries = &retries;
-            let completed = &completed;
-            let write_error = &write_error;
-            let row_of = &row_of;
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let next = cursor.fetch_add(1, Ordering::Relaxed);
-                    if next >= order.len() {
-                        break;
-                    }
-                    let index = order[next];
-                    if skip[index] {
-                        continue;
-                    }
-                    let job = &jobs[index];
-                    let outcome = run_job(job, scale, opts, retries);
-                    // Durable store append, one flushed record per fresh
-                    // result: it becomes addressable by all future campaigns
-                    // (a killed run's re-run included). The lock is taken
-                    // after the (multi-second) simulation, so it never
-                    // serializes actual work. A write failure voids the
-                    // store's guarantee and is fatal for the campaign —
-                    // record the first error, stop claiming jobs.
-                    let stored = match (&opts.store, &outcome) {
-                        (Some(shared), Ok(sim)) => lock_unpoisoned(shared)
-                            .insert(&row_of(job, sim))
-                            .map(|_| ()),
-                        _ => Ok(()),
-                    };
-                    if let Err(error) = stored {
-                        lock_unpoisoned(write_error).get_or_insert(error);
-                        stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    if let Some(sink) = &opts.progress {
-                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                        sink(&ProgressEvent::CellFinished {
-                            key: job.key.clone(),
-                            target: job.target.name().to_owned(),
-                            prefetcher: job.sel.label(),
-                            config: job.config_label.clone(),
-                            outcome: if outcome.is_ok() {
-                                CellOutcome::Fresh
-                            } else {
-                                CellOutcome::Quarantined
-                            },
-                            completed: done,
-                            total: total_jobs,
-                        });
-                    }
-                    local.push((index, outcome));
-                }
-                local
-            }));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(local) => {
-                    for (index, outcome) in local {
-                        slots[index] = Some(outcome);
-                    }
-                }
-                // Workers wrap every simulation in catch_unwind, so this
-                // only fires on an executor bug; classify it instead of
-                // propagating the panic.
-                Err(payload) => {
-                    worker_panic = Some(HarnessError::CellPanic {
-                        job: "<executor worker>".to_owned(),
-                        message: panic_message(payload),
-                    });
-                }
-            }
-        }
-    });
-    if let Some(error) = lock_unpoisoned(&write_error).take() {
-        return Err(error);
-    }
-    if let Some(error) = worker_panic {
-        return Err(error);
-    }
+        Ok(outcome)
+    })?;
+    Ok(pending.into_iter().zip(outcomes).collect())
+}
 
-    // Compact the surviving simulations: quarantined jobs leave no sim, so
-    // rows are remapped onto the dense vector (a row that lost its candidate
-    // is dropped into `failures`; one that lost only its baseline stays).
+/// Assemble phase: puts the outcomes in job order and compacts the
+/// surviving simulations. Quarantined jobs leave no sim, so rows are
+/// remapped onto the dense vector: a row that lost its candidate is dropped
+/// (its job is in `failures`), one that lost only its baseline stays.
+fn assemble(
+    name: &str,
+    jobs: &[Job],
+    rows: Vec<CampaignRow>,
+    mut outcomes: Vec<(usize, JobOutcome)>,
+    stats: ExecStats,
+) -> CampaignResult {
+    outcomes.sort_unstable_by_key(|(index, _)| *index);
     let mut sims: Vec<SimResult> = Vec::new();
+    let mut failures: Vec<CellFailure> = Vec::new();
     let mut remap: Vec<Option<usize>> = vec![None; jobs.len()];
-    let mut failures_by_job: Vec<Option<CellFailure>> = vec![None; jobs.len()];
-    for (index, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(sim)) => {
+    for (index, outcome) in outcomes {
+        match outcome {
+            Ok(sim) => {
                 remap[index] = Some(sims.len());
                 sims.push(sim);
             }
-            Some(Err(failure)) => failures_by_job[index] = Some(*failure),
-            None => {
-                return Err(HarnessError::CellPanic {
-                    job: jobs[index].key.clone(),
-                    message: "executor finished without a result for this job".to_owned(),
-                })
-            }
+            Err(failure) => failures.push(*failure),
         }
     }
     let rows = rows
@@ -2082,36 +2049,23 @@ fn execute_cells(
             })
         })
         .collect();
-    let failures: Vec<CellFailure> = failures_by_job.into_iter().flatten().collect();
     let baseline_sims = jobs
         .iter()
-        .enumerate()
-        .filter(|(index, job)| job.sel.is_baseline() && remap[*index].is_some())
+        .zip(&remap)
+        .filter(|(job, sim)| job.sel.is_baseline() && sim.is_some())
         .count();
-
-    if let Some(sink) = &opts.progress {
-        sink(&ProgressEvent::Finished {
-            sims: sims.len(),
-            quarantined: failures.len(),
-        });
-    }
-
-    Ok(CampaignResult {
+    CampaignResult {
         name: name.to_owned(),
         stats: ExecStats {
             sims_run: sims.len(),
             baseline_sims,
-            memo_hits,
-            threads,
-            store_hits,
-            retries: retries.load(Ordering::Relaxed),
             quarantined: failures.len(),
-            warmups_run,
+            ..stats
         },
         rows,
         sims,
         failures,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -2204,6 +2158,38 @@ mod tests {
         assert_eq!(third.stats.warmups_run, 1);
         assert_eq!(first.sims, third.sims);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unwritable_checkpoint_dir_fails_before_any_cell_runs() {
+        // A regular file where the checkpoint directory's parent should be:
+        // the warm-up cannot be written, so the campaign stops with an I/O
+        // error before the run phase announces anything.
+        let file = std::env::temp_dir().join(format!("dspatch_ckpt_file_{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").expect("temp dir is writable");
+        let events = std::sync::Arc::new(AtomicUsize::new(0));
+        let seen = events.clone();
+        let opts = ExecOptions {
+            checkpoint_dir: Some(file.join("ckpt")),
+            progress: Some(std::sync::Arc::new(move |_: &ProgressEvent| {
+                seen.fetch_add(1, Ordering::Relaxed);
+            })),
+            ..ExecOptions::default()
+        };
+        let spec = CampaignSpec::single_cell("ckpt", sampled_cell());
+        let err = run_campaign_with(&spec, &sampled_tiny(), &opts).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                HarnessError::Io {
+                    op: "create_dir",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(events.load(Ordering::Relaxed), 0, "no Started, no cell");
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]
@@ -2416,6 +2402,9 @@ mod tests {
     fn spec_errors_are_reported() {
         assert!(CampaignSpec::parse("{\"cells\": 3}").is_err());
         assert!(CampaignSpec::parse("not json").is_err());
+        let err =
+            CampaignSpec::parse(r#"{"name": "x", "scale": "smoke", "cells": []}"#).unwrap_err();
+        assert!(err.contains("at least one cell"), "{err}");
         let unknown_workload = CampaignSpec::single_cell(
             "bad",
             CellSpec {
@@ -2472,7 +2461,8 @@ mod tests {
         assert!(err.contains("threads"));
 
         let bad_name = r#"{"name": 7, "cells": []}"#;
-        assert!(CampaignSpec::parse(bad_name).is_err());
+        let err = CampaignSpec::parse(bad_name).unwrap_err();
+        assert!(err.contains("'name'"), "{err}");
     }
 
     #[test]

@@ -18,9 +18,9 @@ use crate::campaign::{
 use crate::error::HarnessError;
 use crate::report::{percent, Table};
 use crate::runner::{geomean, PrefetcherKind, RunScale};
-use dspatch::{CompressedPattern, DsPatch, DsPatchConfig, SpatialPattern, StorageBreakdown};
+use dspatch::{CompressedPattern, DsPatchConfig, SpatialPattern, StorageBreakdown};
 use dspatch_sim::{DramConfig, DramSpeedGrade, SystemConfig};
-use dspatch_trace::workloads::{category_suite, suite, WorkloadCategory};
+use dspatch_trace::workloads::{suite, WorkloadCategory};
 use dspatch_trace::TraceSource;
 use dspatch_types::Prefetcher;
 use std::collections::BTreeMap;
@@ -925,49 +925,6 @@ pub fn table3_prefetcher_storage() -> Table {
     table
 }
 
-/// Standalone DSPatch model statistics useful for debugging experiments
-/// (selection decisions, SPT occupancy) on one workload.
-pub fn dspatch_introspection(scale: &RunScale) -> Table {
-    let workloads = scale.select_workloads(category_suite(WorkloadCategory::Cloud));
-    let workload = &workloads[0];
-    let mut source = workload.source(scale.accesses_per_workload);
-    let mut prefetcher = DsPatch::new(DsPatchConfig::default());
-    let ctx = dspatch_types::PrefetchContext::default();
-    let mut sink = dspatch_types::PrefetchSink::new();
-    while let Some(record) = source.next_record() {
-        sink.clear();
-        prefetcher.on_access(&record.to_access(), &ctx, &mut sink);
-    }
-    let stats = *prefetcher.stats();
-    let mut table = Table::new(
-        format!("DSPatch decision statistics on {}", workload.name),
-        vec!["Metric".into(), "Value".into()],
-    );
-    table.add_row(vec!["accesses".into(), stats.accesses.to_string()]);
-    table.add_row(vec!["triggers".into(), stats.triggers.to_string()]);
-    table.add_row(vec![
-        "CovP predictions".into(),
-        stats.covp_predictions.to_string(),
-    ]);
-    table.add_row(vec![
-        "AccP predictions".into(),
-        stats.accp_predictions.to_string(),
-    ]);
-    table.add_row(vec![
-        "throttled".into(),
-        stats.throttled_predictions.to_string(),
-    ]);
-    table.add_row(vec![
-        "prefetches issued".into(),
-        stats.prefetches_issued.to_string(),
-    ]);
-    table.add_row(vec![
-        "SPT occupancy".into(),
-        format!("{:.1}%", prefetcher.spt().occupancy() * 100.0),
-    ]);
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1040,11 +997,5 @@ mod tests {
         assert_eq!(sweep.rows.len(), 4);
         // Rows are ordered largest PHT first and storage shrinks with it.
         assert!(sweep.rows[0].1 > sweep.rows[3].1);
-    }
-
-    #[test]
-    fn introspection_reports_decisions() {
-        let table = dspatch_introspection(&tiny()).render();
-        assert!(table.contains("CovP predictions"));
     }
 }

@@ -1,5 +1,5 @@
 //! Shared infrastructure for running experiments: the prefetcher line-up,
-//! run scales, and the baseline-normalized performance metric.
+//! run scales, and single-simulation helpers.
 
 use dspatch::{DsPatch, DsPatchConfig};
 use dspatch_prefetchers::any::composites;
@@ -338,38 +338,6 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Per-workload speedups of `kind` over the no-L2-prefetcher baseline, in
-/// workload order.
-///
-/// This is a thin wrapper over the campaign executor
-/// ([`crate::campaign::run_cells`]): the (workload, baseline) and
-/// (workload, kind) simulations are deduplicated, memoized and drained by a
-/// self-scheduling pool of `scale.threads` workers.
-pub fn speedups_over_baseline(
-    workloads: &[WorkloadSpec],
-    kind: PrefetcherKind,
-    config: &SystemConfig,
-    scale: &RunScale,
-) -> Vec<f64> {
-    use crate::campaign::{run_cells, PrefetcherSel, ResolvedCell, Target};
-    let cell = ResolvedCell {
-        label: "all".to_owned(),
-        targets: workloads.iter().cloned().map(Target::Workload).collect(),
-        prefetchers: vec![PrefetcherSel::Kind(kind)],
-        config: config.clone(),
-        config_label: String::new(),
-        baseline: true,
-    };
-    let result = run_cells("speedups_over_baseline", &[cell], scale);
-    // Baseline cells always carry speedups; a quarantined baseline would
-    // drop its row rather than poison the aggregate with a placeholder.
-    result
-        .rows
-        .iter()
-        .filter_map(|row| result.speedup(row))
-        .collect()
-}
-
 /// Geometric mean of a slice of speedups.
 pub fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -377,17 +345,6 @@ pub fn geomean(values: &[f64]) -> f64 {
     }
     let log_sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
     (log_sum / values.len() as f64).exp()
-}
-
-/// Geometric-mean performance delta of `kind` over the baseline across
-/// `workloads`, as a fraction (0.06 = +6 %).
-pub fn perf_delta(
-    workloads: &[WorkloadSpec],
-    kind: PrefetcherKind,
-    config: &SystemConfig,
-    scale: &RunScale,
-) -> f64 {
-    geomean(&speedups_over_baseline(workloads, kind, config, scale)) - 1.0
 }
 
 #[cfg(test)]
@@ -438,19 +395,5 @@ mod tests {
         let result = run_workload(&workloads[0], PrefetcherKind::Baseline, &config, &scale);
         assert_eq!(result.cores.len(), 1);
         assert!(result.cores[0].instructions > 0);
-    }
-
-    #[test]
-    fn speedups_align_with_workload_order() {
-        let scale = RunScale::smoke();
-        let workloads: Vec<_> = scale
-            .select_workloads(suite())
-            .into_iter()
-            .take(3)
-            .collect();
-        let config = SystemConfig::single_thread();
-        let speedups = speedups_over_baseline(&workloads, PrefetcherKind::Spp, &config, &scale);
-        assert_eq!(speedups.len(), workloads.len());
-        assert!(speedups.iter().all(|s| *s > 0.0));
     }
 }

@@ -70,7 +70,7 @@ struct Inner {
     progress: Progress,
     /// JSON-lines progress events, in emission order.
     events: Vec<String>,
-    /// The completed result (queryable rows).
+    /// The completed result, summarized in the status document.
     result: Option<CampaignResult>,
     /// The exact `to_json().render()` bytes — byte-identical to
     /// `dspatch-lab --spec <file> --format json` for the same spec.
@@ -184,11 +184,6 @@ impl Campaign {
     /// The exact results document, available once `Done`.
     pub fn result_json(&self) -> Option<String> {
         lock_unpoisoned(&self.inner).result_json.clone()
-    }
-
-    /// The completed result, for the `/results` query index.
-    pub fn result(&self) -> Option<CampaignResult> {
-        lock_unpoisoned(&self.inner).result.clone()
     }
 
     /// The failure, once `Failed`.

@@ -77,6 +77,19 @@ fn routing_parsing_and_drain_errors_are_typed() {
         .expect("message")
         .to_owned();
     assert!(message.contains("invalid campaign spec"), "got: {message}");
+    // A spec without cells would print an empty result.
+    let empty = r#"{"name": "x", "scale": "smoke", "cells": []}"#;
+    let (status, _, body) = http_request(addr, "POST", "/campaigns", Some(empty)).expect("400");
+    assert_eq!(status, 400);
+    let message = body_json(&body)
+        .get("error")
+        .and_then(Json::as_str)
+        .expect("message")
+        .to_owned();
+    assert!(
+        message.starts_with("invalid campaign spec: ") && message.contains("at least one cell"),
+        "got: {message}"
+    );
     // A valid spec whose scale would simulate nothing.
     let zero = r#"{
         "name": "zero",

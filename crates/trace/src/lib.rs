@@ -47,8 +47,8 @@ pub mod workloads;
 pub use mixes::{heterogeneous_mixes, homogeneous_mixes, WorkloadMix};
 pub use record::{Trace, TraceRecord};
 pub use source::{
-    collect_source, ChainSource, IntoTraceSource, LengthHint, MaterializedSource, SynthSource,
-    TraceMeta, TraceSource,
+    collect_source, IntoTraceSource, LengthHint, MaterializedSource, SynthSource, TraceMeta,
+    TraceSource,
 };
 pub use synth::{
     CodeHeavyGen, GeneratorSpec, IrregularGen, MixedGen, PatternGenerator, PointerChaseGen,

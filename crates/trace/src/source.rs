@@ -6,8 +6,8 @@
 //! prefetcher API was redesigned around `PrefetchSink`: the simulator
 //! *pulls* records one at a time, and where they come from — a synthetic
 //! generator evaluated lazily ([`SynthSource`]), an owned in-memory trace
-//! ([`MaterializedSource`]), a concatenation ([`ChainSource`]), or a file
-//! on disk (see [`crate::io`]) — is the source's business.
+//! ([`MaterializedSource`]), or a file on disk (see [`crate::io`]) — is the
+//! source's business.
 //!
 //! Sources also carry [`TraceMeta`] (name, exact-or-estimated access count,
 //! instruction count when known) and support cheap [`TraceSource::reset`] /
@@ -259,86 +259,6 @@ impl TraceSource for SynthSource {
     }
 }
 
-/// Sources played back to back, preserving O(1) memory: a multi-phase
-/// trace built from one source per phase.
-pub struct ChainSource {
-    name: String,
-    parts: Vec<Box<dyn TraceSource>>,
-    current: usize,
-}
-
-impl ChainSource {
-    /// Chains `parts` in order under one name.
-    pub fn new(name: impl Into<String>, parts: Vec<Box<dyn TraceSource>>) -> Self {
-        Self {
-            name: name.into(),
-            parts,
-            current: 0,
-        }
-    }
-}
-
-impl std::fmt::Debug for ChainSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChainSource")
-            .field("name", &self.name)
-            .field("parts", &self.parts.len())
-            .field("current", &self.current)
-            .finish()
-    }
-}
-
-impl TraceSource for ChainSource {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        while self.current < self.parts.len() {
-            if let Some(record) = self.parts[self.current].next_record() {
-                return Some(record);
-            }
-            self.current += 1;
-        }
-        None
-    }
-
-    fn reset(&mut self) {
-        for part in &mut self.parts {
-            part.reset();
-        }
-        self.current = 0;
-    }
-
-    fn fork(&self) -> Box<dyn TraceSource> {
-        Box::new(Self {
-            name: self.name.clone(),
-            parts: self.parts.iter().map(|part| part.fork()).collect(),
-            current: 0,
-        })
-    }
-
-    fn meta(&self) -> TraceMeta {
-        let mut total = 0u64;
-        let mut exact = true;
-        let mut instructions = Some(0u64);
-        for part in &self.parts {
-            let meta = part.meta();
-            total += meta.accesses.value();
-            exact &= meta.accesses.is_exact();
-            instructions = match (instructions, meta.instructions) {
-                (Some(sum), Some(part)) => Some(sum + part),
-                _ => None,
-            };
-        }
-        TraceMeta {
-            name: self.name.clone(),
-            accesses: if exact {
-                LengthHint::Exact(total)
-            } else {
-                LengthHint::Estimate(total)
-            },
-            instructions,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,24 +320,6 @@ mod tests {
         let trace = Trace::new("adapter", spec().generate_records(5, 80));
         let mut source = trace.clone().into_trace_source();
         assert_eq!(collect_source(source.as_mut()), trace);
-    }
-
-    #[test]
-    fn chain_source_concatenates_parts() {
-        let a = SynthSource::new("a", spec(), 1, 100);
-        let b = SynthSource::new("b", spec(), 2, 50);
-        let mut chain = ChainSource::new("ab", vec![Box::new(a), Box::new(b)]);
-        let meta = chain.meta();
-        assert_eq!(meta.accesses, LengthHint::Exact(150));
-        assert_eq!(meta.name, "ab");
-        let collected = collect_source(&mut chain);
-        let mut expected = spec().generate_records(1, 100);
-        expected.extend(spec().generate_records(2, 50));
-        assert_eq!(collected.records, expected);
-        chain.reset();
-        assert_eq!(collect_source(&mut chain).records, expected);
-        let mut forked = chain.fork();
-        assert_eq!(collect_source(forked.as_mut()).records, expected);
     }
 
     #[test]

@@ -186,6 +186,7 @@ fn invalid_spec_files_exit_3_with_one_prefix() {
     // stands for the spec file's path.
     let smoke_scale =
         r#"{"accesses_per_workload": 500, "workloads_per_category": 1, "mixes": 1, "threads": 2}"#;
+    let cells = &SMOKE_SPEC[SMOKE_SPEC.find("[{").expect("a cells array")..];
     for (name, from, to, expected) in [
         (
             "bogus.json",
@@ -204,6 +205,12 @@ fn invalid_spec_files_exit_3_with_one_prefix() {
             r#""accesses_per_workload": 500"#,
             r#""accesses_per_workload": 0"#,
             "scale: custom scale 'accesses_per_workload' must be at least 1",
+        ),
+        (
+            "empty.json",
+            cells,
+            "[]}",
+            "PATH: campaign spec needs at least one cell",
         ),
     ] {
         assert!(SMOKE_SPEC.contains(from), "{name}");
@@ -226,6 +233,29 @@ fn invalid_spec_files_exit_3_with_one_prefix() {
     let (code, stderr) = dspatch_lab_fails(&["--spec", valid, "--scale", "huge"]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("unknown scale 'huge'"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_unwritable_checkpoint_dir_exits_4() {
+    let dir = std::env::temp_dir().join("dspatch-lab-cli-checkpoint-file");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spec = dir.join("spec.json");
+    std::fs::write(&spec, SMOKE_SPEC).expect("write spec");
+    // The checkpoint directory would live under a regular file.
+    let file = dir.join("file");
+    std::fs::write(&file, "not a directory").expect("write file");
+    let (code, stderr) = dspatch_lab_fails(&[
+        "--spec",
+        spec.to_str().expect("utf-8 path"),
+        "--sample",
+        "warmup=100,interval=100,n=2",
+        "--checkpoint-dir",
+        file.join("ckpt").to_str().expect("utf-8 path"),
+    ]);
+    assert_eq!(code, 4, "{stderr}");
+    assert!(stderr.contains("create_dir failed"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -401,4 +431,28 @@ fn replays_an_external_trace_file_in_both_formats() {
     let title = parsed.get("title").and_then(Json::as_str).expect("title");
     assert!(title.contains("400 accesses"), "got title: {title}");
     std::fs::remove_file(&text_path).ok();
+}
+
+#[test]
+fn replaying_a_trace_without_records_exits_3() {
+    // An empty trace would report IPC 0 and a 1.0x speedup on every row.
+    let dir = std::env::temp_dir().join(format!("dspatch-lab-cli-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let text = dir.join("comments.champsim.txt");
+    std::fs::write(&text, "# only a comment\n").expect("write text trace");
+    let binary = dir.join("empty.dspt");
+    let empty = dspatch_trace::Trace::new("empty", Vec::new());
+    dspatch_trace::io::save_trace(&empty, &binary).expect("save");
+    for path in [&text, &binary] {
+        let path = path.to_str().expect("utf-8 path");
+        let (code, stderr) = dspatch_lab_fails(&["--trace-file", path]);
+        assert_eq!(code, 3, "{path}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!(
+                "dspatch-lab: invalid spec: {path}: trace holds no records"
+            )),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

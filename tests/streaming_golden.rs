@@ -9,8 +9,7 @@ use dspatch_harness::runner::PrefetcherKind;
 use dspatch_prefetchers::AnyPrefetcher;
 use dspatch_sim::{SimResult, SimulationBuilder, SystemConfig};
 use dspatch_trace::{
-    collect_source, heterogeneous_mixes, homogeneous_mixes, suite, ChainSource, IntoTraceSource,
-    TraceSource,
+    collect_source, heterogeneous_mixes, homogeneous_mixes, suite, IntoTraceSource, TraceSource,
 };
 
 const SMOKE_ACCESSES: usize = 1_200;
@@ -131,19 +130,4 @@ fn file_backed_replay_matches_the_in_memory_simulation() {
     std::fs::remove_file(&path).ok();
     let in_memory = run_single(trace, PrefetcherKind::DspatchPlusSpp);
     assert_eq!(from_file, in_memory);
-}
-
-#[test]
-fn chained_sources_simulate_like_the_concatenated_trace() {
-    let workloads = suite();
-    let (a, b) = (&workloads[0], &workloads[1]);
-    let mut concatenated = a.generate(600);
-    concatenated.extend(b.generate(600).records);
-    let chain = ChainSource::new(
-        concatenated.name.clone(),
-        vec![Box::new(a.source(600)), Box::new(b.source(600))],
-    );
-    let materialized = run_single(concatenated, PrefetcherKind::Spp);
-    let streamed = run_single(chain, PrefetcherKind::Spp);
-    assert_eq!(materialized, streamed);
 }
