@@ -196,11 +196,8 @@ mod tests {
         assert_eq!(format!("{t}"), t.render());
     }
 
-    #[test]
-    fn csv_escapes_delimiters_and_quotes() {
-        // Workload and mix names can carry commas, quotes and even line
-        // breaks: such a cell is quoted with its quotes doubled, and every
-        // other cell (the empty one included) is written as is.
+    /// Workload and mix names can carry commas, quotes and even line breaks.
+    fn hostile_table() -> Table {
         let mut t = Table::new("CSV", vec!["name".into(), "value".into(), "note".into()]);
         t.add_row(vec!["plain".into(), "1".into(), String::new()]);
         t.add_row(vec![
@@ -213,13 +210,56 @@ mod tests {
             "trailing,comma,".into(),
             "cr\r\nlf".into(),
         ]);
+        t
+    }
+
+    /// A minimal RFC 4180 reader for newline-terminated documents.
+    fn read_csv(csv: &str) -> Vec<Vec<String>> {
+        let (mut records, mut record, mut field) = (Vec::new(), Vec::new(), String::new());
+        let mut quoted = false;
+        let mut chars = csv.chars().peekable();
+        while let Some(c) = chars.next() {
+            match (quoted, c) {
+                (true, '"') if chars.peek() == Some(&'"') => {
+                    chars.next();
+                    field.push('"');
+                }
+                (_, '"') => quoted = !quoted,
+                (false, ',') => record.push(std::mem::take(&mut field)),
+                (false, '\n') => {
+                    record.push(std::mem::take(&mut field));
+                    records.push(std::mem::take(&mut record));
+                }
+                (_, other) => field.push(other),
+            }
+        }
+        assert!(
+            !quoted && field.is_empty() && record.is_empty(),
+            "unterminated document"
+        );
+        records
+    }
+
+    #[test]
+    fn csv_escapes_delimiters_and_quotes() {
+        // A cell with a comma, quote or line break is quoted with its quotes
+        // doubled; every other cell (the empty one included) is written as is.
         let expected = [
             "name,value,note\n",
             "plain,1,\n",
             "\"mix(mcf,lbm,gcc)\",\"say \"\"hi\"\"\",\"line\nbreak\"\n",
             "\"\"\"fully quoted\"\"\",\"trailing,comma,\",\"cr\r\nlf\"\n",
         ];
-        assert_eq!(t.to_csv(), expected.concat());
+        assert_eq!(hostile_table().to_csv(), expected.concat());
+    }
+
+    #[test]
+    fn csv_round_trips_hostile_cells() {
+        // Every cell survives to_csv and an RFC 4180 reader byte for byte.
+        let t = hostile_table();
+        let mut cells = vec![t.headers.clone()];
+        cells.extend(t.rows.iter().cloned());
+        assert_eq!(read_csv(&t.to_csv()), cells);
     }
 
     #[test]
