@@ -45,18 +45,6 @@ impl SaturatingCounter {
         Self::new(3)
     }
 
-    /// Rebuilds a counter from stored parts (snapshot restore); `value` is
-    /// clamped to `max`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max` is zero, like [`SaturatingCounter::new`].
-    pub fn with_value(max: u8, value: u8) -> Self {
-        let mut counter = Self::new(max);
-        counter.value = value.min(max);
-        counter
-    }
-
     /// Current value.
     pub const fn value(self) -> u8 {
         self.value

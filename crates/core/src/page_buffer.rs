@@ -11,7 +11,6 @@
 //! them to update the Signature Prediction Table.
 
 use crate::pattern::SpatialPattern;
-use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{PageAddr, Pc, LINES_PER_PAGE, LINES_PER_SEGMENT};
 
 /// Number of 2 KB segments in a 4 KB page (and of triggers per PB entry).
@@ -229,84 +228,6 @@ impl PageBuffer {
         self.last_uses.clear();
         self.mru = 0;
         std::mem::take(&mut self.entries)
-    }
-}
-
-impl SnapshotState for PageBuffer {
-    fn snapshot_tag(&self) -> &'static str {
-        "page-buffer"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), SnapshotError> {
-        writer.put_len(self.entries.len());
-        for entry in &self.entries {
-            writer.put_u64(entry.page.as_u64());
-            writer.put_u64(entry.pattern.bits());
-            for trigger in &entry.triggers {
-                match trigger {
-                    Some(t) => {
-                        writer.put_bool(true);
-                        writer.put_u64(t.pc.as_u64());
-                        writer.put_usize(t.offset);
-                        writer.put_usize(t.segment);
-                    }
-                    None => writer.put_bool(false),
-                }
-            }
-            writer.put_u64(entry.last_use);
-        }
-        writer.put_usize(self.mru);
-        writer.put_u64(self.clock);
-        Ok(())
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let len = reader.get_len()?;
-        if len > self.capacity {
-            return Err(SnapshotError::Invalid(format!(
-                "page buffer holds {} entries but only {} are configured",
-                len, self.capacity
-            )));
-        }
-        self.entries.clear();
-        self.pages.clear();
-        self.last_uses.clear();
-        for _ in 0..len {
-            let page = PageAddr::new(reader.get_u64()?);
-            let pattern = SpatialPattern::from_bits(reader.get_u64()?);
-            let mut triggers = [None; SEGMENTS_PER_PAGE];
-            for slot in &mut triggers {
-                if reader.get_bool()? {
-                    *slot = Some(TriggerInfo {
-                        pc: Pc::new(reader.get_u64()?),
-                        offset: reader.get_usize()?,
-                        segment: reader.get_usize()?,
-                    });
-                }
-            }
-            let last_use = reader.get_u64()?;
-            // Rebuild the shadow arrays in lock-step, exactly as the access
-            // path maintains them.
-            self.pages.push(page.as_u64());
-            self.last_uses.push(last_use);
-            self.entries.push(PageBufferEntry {
-                page,
-                pattern,
-                triggers,
-                last_use,
-            });
-        }
-        self.mru = reader.get_usize()?;
-        if self.mru >= self.entries.len() && !self.entries.is_empty() {
-            return Err(SnapshotError::Invalid(format!(
-                "MRU index {} is out of bounds for {} entries",
-                self.mru,
-                self.entries.len()
-            )));
-        }
-        self.mru = self.mru.min(self.entries.len().saturating_sub(1));
-        self.clock = reader.get_u64()?;
-        Ok(())
     }
 }
 

@@ -7,7 +7,6 @@ use crate::page_buffer::{PageBuffer, PageBufferEntry, TriggerInfo};
 use crate::selection::PatternChoice;
 use crate::spt::SignaturePredictionTable;
 use crate::storage::StorageBreakdown;
-use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{
     BandwidthQuartile, FillLevel, MemoryAccess, PrefetchContext, PrefetchRequest, PrefetchSink,
     Prefetcher, LINES_PER_PAGE,
@@ -180,42 +179,6 @@ impl Prefetcher for DsPatch {
 
     fn storage_bits(&self) -> u64 {
         self.storage_breakdown().total_bits()
-    }
-}
-
-impl SnapshotState for DsPatch {
-    fn snapshot_tag(&self) -> &'static str {
-        "dspatch"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), SnapshotError> {
-        self.page_buffer.save_state(writer)?;
-        self.spt.save_state(writer)?;
-        writer.put_u8(self.last_bandwidth.as_bits());
-        writer.put_u64(self.stats.accesses);
-        writer.put_u64(self.stats.triggers);
-        writer.put_u64(self.stats.covp_predictions);
-        writer.put_u64(self.stats.accp_predictions);
-        writer.put_u64(self.stats.throttled_predictions);
-        writer.put_u64(self.stats.cold_triggers);
-        writer.put_u64(self.stats.prefetches_issued);
-        writer.put_u64(self.stats.trainings);
-        Ok(())
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.page_buffer.load_state(reader)?;
-        self.spt.load_state(reader)?;
-        self.last_bandwidth = BandwidthQuartile::from_bits(reader.get_u8()?);
-        self.stats.accesses = reader.get_u64()?;
-        self.stats.triggers = reader.get_u64()?;
-        self.stats.covp_predictions = reader.get_u64()?;
-        self.stats.accp_predictions = reader.get_u64()?;
-        self.stats.throttled_predictions = reader.get_u64()?;
-        self.stats.cold_triggers = reader.get_u64()?;
-        self.stats.prefetches_issued = reader.get_u64()?;
-        self.stats.trainings = reader.get_u64()?;
-        Ok(())
     }
 }
 

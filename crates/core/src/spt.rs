@@ -11,7 +11,6 @@ use crate::counters::SaturatingCounter;
 use crate::measure::PredictionQuality;
 use crate::pattern::{CompressedPattern, SpatialPattern, COMPRESSED_BITS};
 use crate::selection::{select_pattern, PatternChoice};
-use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{BandwidthQuartile, Pc};
 
 /// Number of 2 KB halves of an (anchored) 4 KB pattern.
@@ -340,67 +339,6 @@ impl SignaturePredictionTable {
         }
         let warm = self.entries.iter().filter(|e| !e.is_cold()).count();
         warm as f64 / self.entries.len() as f64
-    }
-}
-
-fn save_counters(counters: &[SaturatingCounter; PATTERN_HALVES], writer: &mut StateWriter) {
-    for counter in counters {
-        writer.put_u8(counter.max());
-        writer.put_u8(counter.value());
-    }
-}
-
-fn load_counters(
-    counters: &mut [SaturatingCounter; PATTERN_HALVES],
-    reader: &mut StateReader<'_>,
-) -> Result<(), SnapshotError> {
-    for counter in counters.iter_mut() {
-        let max = reader.get_u8()?;
-        let value = reader.get_u8()?;
-        if max == 0 {
-            return Err(SnapshotError::Invalid(
-                "saturating counter maximum must be positive".to_owned(),
-            ));
-        }
-        *counter = SaturatingCounter::with_value(max, value);
-    }
-    Ok(())
-}
-
-impl SnapshotState for SignaturePredictionTable {
-    fn snapshot_tag(&self) -> &'static str {
-        "spt"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), SnapshotError> {
-        writer.put_len(self.entries.len());
-        for entry in &self.entries {
-            writer.put_u32(entry.cov_p.bits());
-            writer.put_u32(entry.acc_p.bits());
-            save_counters(&entry.measure_covp, writer);
-            save_counters(&entry.measure_accp, writer);
-            save_counters(&entry.or_count, writer);
-        }
-        Ok(())
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let len = reader.get_len()?;
-        if len != self.entries.len() {
-            return Err(SnapshotError::Invalid(format!(
-                "SPT length {} does not match configured {}",
-                len,
-                self.entries.len()
-            )));
-        }
-        for entry in &mut self.entries {
-            entry.cov_p = CompressedPattern::from_bits(reader.get_u32()?);
-            entry.acc_p = CompressedPattern::from_bits(reader.get_u32()?);
-            load_counters(&mut entry.measure_covp, reader)?;
-            load_counters(&mut entry.measure_accp, reader)?;
-            load_counters(&mut entry.or_count, reader)?;
-        }
-        Ok(())
     }
 }
 

@@ -1406,7 +1406,7 @@ struct Job {
     config: SystemConfig,
     config_label: String,
     /// Sampled scales only: the shared neutral warm-up checkpoint this
-    /// column restores instead of re-warming (one per (target, config)).
+    /// column restores (one per (target, config), set by the warm phase).
     warm: Option<std::sync::Arc<dspatch_sim::MachineState>>,
 }
 
@@ -1418,6 +1418,9 @@ impl Job {
             let Target::Workload(workload) = &self.target else {
                 panic!("job '{}': sampled scales cannot run mixes", self.key)
             };
+            let Some(warm) = self.warm.as_deref() else {
+                panic!("sampled job '{}' runs before its warm-up", self.key)
+            };
             let source = Box::new(workload.source(scale.accesses_per_workload))
                 as Box<dyn dspatch_trace::TraceSource>;
             return crate::sampling::run_sampled(
@@ -1425,7 +1428,7 @@ impl Job {
                 self.sel.build_any(),
                 &self.config,
                 plan,
-                self.warm.as_deref(),
+                warm,
             )
             .unwrap_or_else(|error| panic!("sampled job '{}': {error}", self.key));
         }
@@ -1704,8 +1707,9 @@ fn warm_group(
             if let Ok(state) = dspatch_sim::MachineState::from_bytes(bytes) {
                 return Ok((std::sync::Arc::new(state), false));
             }
-            // Corrupt or version-skewed bytes: recompute below (the token
-            // embeds the snapshot format version, so skew is rare).
+            // Corrupt, torn (a run killed inside the write below fails the
+            // body-length check) or version-skewed bytes: recompute below
+            // (the token embeds the snapshot format version, so skew is rare).
         }
     }
     let Target::Workload(workload) = &job.target else {
@@ -2157,6 +2161,17 @@ mod tests {
         let third = run_campaign_with(&spec, &sampled_tiny(), &opts).expect("valid spec");
         assert_eq!(third.stats.warmups_run, 1);
         assert_eq!(first.sims, third.sims);
+        // So is a file torn mid-write (a run killed inside the write): its
+        // header is intact, but it must not reach any column's restore.
+        for entry in std::fs::read_dir(&dir).expect("dir exists") {
+            let path = entry.expect("entry").path();
+            let bytes = std::fs::read(&path).expect("readable");
+            std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("writable");
+        }
+        let fourth = run_campaign_with(&spec, &sampled_tiny(), &opts).expect("valid spec");
+        assert_eq!(fourth.stats.warmups_run, 1);
+        assert!(fourth.failures.is_empty(), "{:?}", fourth.failures);
+        assert_eq!(first.sims, fourth.sims);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

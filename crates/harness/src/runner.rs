@@ -288,14 +288,8 @@ pub fn run_workload(
         // Sampled scales measure seed-placed intervals instead of the whole
         // trace; the scale was validated upstream, so a plan that does not
         // fit here is a caller bug worth the panic.
-        return crate::sampling::run_sampled_workload(
-            workload,
-            kind.build_any(),
-            config,
-            scale,
-            None,
-        )
-        .unwrap_or_else(|error| panic!("sampled workload '{}': {error}", workload.name));
+        return crate::sampling::run_sampled_workload(workload, kind.build_any(), config, scale)
+            .unwrap_or_else(|error| panic!("sampled workload '{}': {error}", workload.name));
     }
     SimulationBuilder::new(config.clone())
         .with_core(

@@ -10,12 +10,12 @@
 //! drops by the ratio of detailed to total records, and the CI quantifies
 //! what the shortcut cost in fidelity.
 //!
-//! The campaign executor shares one warm-up per (workload, config) across
-//! all prefetcher columns: warm-up runs with the **null** prefetcher and is
-//! captured as a [`MachineState`] checkpoint, which each column restores
-//! before measuring with its own predictor (the checkpoint's L2-prefetcher
-//! section is tagged, so a mismatched column simply keeps its fresh
-//! predictor — see [`dspatch_sim::Machine::restore`]).
+//! Every sampled run starts from one neutral warm-up: it runs with the
+//! **null** L2 prefetcher and is captured as a [`MachineState`] checkpoint
+//! ([`warmup_checkpoint`]), which each prefetcher column restores before
+//! measuring with its own, fresh predictor ([`run_sampled`]). The campaign
+//! executor computes that checkpoint once per (workload, config) and
+//! shares it across all prefetcher columns.
 
 use crate::error::HarnessError;
 use crate::runner::RunScale;
@@ -282,35 +282,31 @@ pub fn warmup_checkpoint(
         .map_err(|error| HarnessError::spec(format!("warm-up capture failed: {error}")))
 }
 
-/// Runs one sampled single-core simulation: restore (or recompute) the
-/// warm-up, then fast-forward to each interval and measure it in detail.
-/// The returned [`SimResult`]'s counters aggregate the measured intervals
-/// and [`SimResult::sampling`] carries the per-interval mean ± 95% CI.
+/// Runs one sampled single-core simulation: restore the neutral warm-up
+/// `warm` (see [`warmup_checkpoint`]), then fast-forward to each interval
+/// and measure it in detail. The returned [`SimResult`]'s counters
+/// aggregate the measured intervals and [`SimResult::sampling`] carries the
+/// per-interval mean ± 95% CI.
 ///
 /// # Errors
 ///
 /// Returns [`HarnessError::Spec`] when the plan does not fit the source,
-/// the source length is inexact, or a checkpoint fails to restore.
+/// the source length is inexact, or the checkpoint fails to restore.
 pub fn run_sampled(
     source: Box<dyn TraceSource>,
     prefetcher: AnyPrefetcher,
     config: &SystemConfig,
     plan: &SamplingPlan,
-    warm: Option<&MachineState>,
+    warm: &MachineState,
 ) -> Result<SimResult, HarnessError> {
     let total = exact_total_accesses(&source.meta())?;
     plan.validate_for(total)?;
     let mut machine = SimulationBuilder::new(config.clone())
         .with_core(source, prefetcher)
         .into_machine();
-    match warm {
-        Some(state) => machine
-            .restore(state)
-            .map_err(|error| HarnessError::spec(format!("warm-up restore failed: {error}")))?,
-        None => {
-            machine.run_functional(plan.warmup_accesses);
-        }
-    }
+    machine
+        .restore(warm)
+        .map_err(|error| HarnessError::spec(format!("warm-up restore failed: {error}")))?;
     let mut position = plan.warmup_accesses;
     let mut intervals = Vec::with_capacity(plan.intervals as usize);
     for start in plan.interval_starts(total) {
@@ -334,24 +330,26 @@ pub fn run_sampled(
     Ok(aggregate_intervals(intervals, plan))
 }
 
-/// Convenience wrapper over [`run_sampled`] for a synthetic workload at a
-/// given scale (the path `run_workload` takes when the scale samples).
+/// Convenience wrapper over [`warmup_checkpoint`] and [`run_sampled`] for
+/// a synthetic workload at a given scale (the path `run_workload` takes
+/// when the scale samples). It measures what a sampled campaign cell
+/// measures.
 ///
 /// # Errors
 ///
-/// See [`run_sampled`].
+/// See [`warmup_checkpoint`] and [`run_sampled`].
 pub fn run_sampled_workload(
     workload: &WorkloadSpec,
     prefetcher: AnyPrefetcher,
     config: &SystemConfig,
     scale: &RunScale,
-    warm: Option<&MachineState>,
 ) -> Result<SimResult, HarnessError> {
     let plan = scale
         .sampling
         .ok_or_else(|| HarnessError::spec("run_sampled_workload needs scale.sampling"))?;
-    let source = Box::new(workload.source(scale.accesses_per_workload)) as Box<dyn TraceSource>;
-    run_sampled(source, prefetcher, config, &plan, warm)
+    let source = || Box::new(workload.source(scale.accesses_per_workload)) as Box<dyn TraceSource>;
+    let warm = warmup_checkpoint(source(), config, &plan)?;
+    run_sampled(source(), prefetcher, config, &plan, &warm)
 }
 
 /// Folds per-interval results into one [`SimResult`]: counters sum, the
@@ -533,54 +531,33 @@ mod tests {
             sampling: Some(plan()),
             ..RunScale::smoke()
         };
-        let warm = warmup_checkpoint(
-            Box::new(workload.source(scale.accesses_per_workload)),
-            &config,
-            &plan(),
-        )
-        .unwrap();
-        let sampled = run_sampled_workload(
-            workload,
-            PrefetcherKind::Spp.build_any(),
-            &config,
-            &scale,
-            Some(&warm),
-        )
-        .unwrap();
+        let source =
+            || Box::new(workload.source(scale.accesses_per_workload)) as Box<dyn TraceSource>;
+        let warm = warmup_checkpoint(source(), &config, &plan()).unwrap();
+        let column = || {
+            run_sampled(
+                source(),
+                PrefetcherKind::Spp.build_any(),
+                &config,
+                &plan(),
+                &warm,
+            )
+            .unwrap()
+        };
+        let sampled = column();
         let stats = sampled.sampling.expect("sampled result carries stats");
         assert_eq!(stats.intervals, 4);
         assert!(stats.ipc.mean > 0.0);
         assert!(stats.ipc.covers(stats.ipc.mean));
         // Restoring the shared checkpoint is deterministic: two columns
         // forked from the same warm state agree bit-for-bit.
-        let again = run_sampled_workload(
-            workload,
-            PrefetcherKind::Spp.build_any(),
-            &config,
-            &scale,
-            Some(&warm),
-        )
-        .unwrap();
-        assert_eq!(sampled, again);
-        // For the null column the cold path's own functional warm-up *is*
-        // the neutral warm-up, so warm restore and cold agree exactly.
-        let warm_null = run_sampled_workload(
-            workload,
-            PrefetcherKind::Baseline.build_any(),
-            &config,
-            &scale,
-            Some(&warm),
-        )
-        .unwrap();
-        let cold_null = run_sampled_workload(
-            workload,
-            PrefetcherKind::Baseline.build_any(),
-            &config,
-            &scale,
-            None,
-        )
-        .unwrap();
-        assert_eq!(warm_null, cold_null);
+        assert_eq!(sampled, column());
+        // The sampled `run_workload` path warms the same neutral checkpoint
+        // itself, so it measures exactly what a campaign column does.
+        let standalone =
+            run_sampled_workload(workload, PrefetcherKind::Spp.build_any(), &config, &scale)
+                .unwrap();
+        assert_eq!(sampled, standalone);
     }
 
     #[test]

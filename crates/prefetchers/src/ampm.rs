@@ -8,7 +8,6 @@
 //! it under-performs the other prefetchers in single-thread runs; it is
 //! included here for completeness.
 
-use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{
     FillLevel, MemoryAccess, PageAddr, PrefetchContext, PrefetchRequest, PrefetchSink, Prefetcher,
     LINES_PER_PAGE,
@@ -168,39 +167,6 @@ impl Prefetcher for AmpmPrefetcher {
     fn storage_bits(&self) -> u64 {
         // Per zone: page tag (36 b) + 2 x 64-bit maps + LRU (8 b).
         self.config.tracked_zones as u64 * (36 + 128 + 8)
-    }
-}
-
-impl SnapshotState for AmpmPrefetcher {
-    fn snapshot_tag(&self) -> &'static str {
-        "ampm"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), SnapshotError> {
-        writer.put_len(self.zones.len());
-        for zone in &self.zones {
-            writer.put_u64(zone.page.as_u64());
-            writer.put_u64(zone.accessed);
-            writer.put_u64(zone.prefetched);
-            writer.put_u64(zone.last_use);
-        }
-        writer.put_u64(self.clock);
-        Ok(())
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let len = reader.get_len()?;
-        self.zones.clear();
-        for _ in 0..len {
-            self.zones.push(Zone {
-                page: PageAddr::new(reader.get_u64()?),
-                accessed: reader.get_u64()?,
-                prefetched: reader.get_u64()?,
-                last_use: reader.get_u64()?,
-            });
-        }
-        self.clock = reader.get_u64()?;
-        Ok(())
     }
 }
 

@@ -18,7 +18,6 @@ use crate::{
     AmpmPrefetcher, BopPrefetcher, SmsPrefetcher, SppPrefetcher, StreamPrefetcher, StridePrefetcher,
 };
 use dspatch::DsPatch;
-use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{
     LineAddr, MemoryAccess, NullPrefetcher, PrefetchContext, PrefetchSink, Prefetcher,
 };
@@ -154,68 +153,6 @@ impl Prefetcher for AnyPrefetcher {
 
     fn storage_bits(&self) -> u64 {
         dispatch!(self, p => p.storage_bits())
-    }
-}
-
-impl SnapshotState for AnyPrefetcher {
-    /// The variant's own tag — adjunct composites get a distinct tag per
-    /// pairing so a checkpoint taken under one line-up never restores into
-    /// another.
-    fn snapshot_tag(&self) -> &'static str {
-        match self {
-            AnyPrefetcher::Null(_) => "null",
-            AnyPrefetcher::Stride(_) => "stride",
-            AnyPrefetcher::Stream(_) => "stream",
-            AnyPrefetcher::Ampm(_) => "ampm",
-            AnyPrefetcher::Bop(_) => "bop",
-            AnyPrefetcher::Sms(_) => "sms",
-            AnyPrefetcher::Spp(_) => "spp",
-            AnyPrefetcher::Dspatch(_) => "dspatch",
-            AnyPrefetcher::DspatchPlusSpp(_) => "dspatch+spp",
-            AnyPrefetcher::BopPlusSpp(_) => "bop+spp",
-            AnyPrefetcher::SmsPlusSpp(_) => "sms+spp",
-            AnyPrefetcher::Boxed(_) => "boxed",
-        }
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), SnapshotError> {
-        // The `dispatch!` macro cannot serve here: the `Boxed` variant holds
-        // a type-erased prefetcher with no snapshot support.
-        match self {
-            AnyPrefetcher::Null(p) => p.save_state(writer),
-            AnyPrefetcher::Stride(p) => p.save_state(writer),
-            AnyPrefetcher::Stream(p) => p.save_state(writer),
-            AnyPrefetcher::Ampm(p) => p.save_state(writer),
-            AnyPrefetcher::Bop(p) => p.save_state(writer),
-            AnyPrefetcher::Sms(p) => p.save_state(writer),
-            AnyPrefetcher::Spp(p) => p.save_state(writer),
-            AnyPrefetcher::Dspatch(p) => p.save_state(writer),
-            AnyPrefetcher::DspatchPlusSpp(p) => p.save_state(writer),
-            AnyPrefetcher::BopPlusSpp(p) => p.save_state(writer),
-            AnyPrefetcher::SmsPlusSpp(p) => p.save_state(writer),
-            AnyPrefetcher::Boxed(_) => Err(SnapshotError::Unsupported(
-                "type-erased Boxed prefetchers cannot be checkpointed".to_owned(),
-            )),
-        }
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        match self {
-            AnyPrefetcher::Null(p) => p.load_state(reader),
-            AnyPrefetcher::Stride(p) => p.load_state(reader),
-            AnyPrefetcher::Stream(p) => p.load_state(reader),
-            AnyPrefetcher::Ampm(p) => p.load_state(reader),
-            AnyPrefetcher::Bop(p) => p.load_state(reader),
-            AnyPrefetcher::Sms(p) => p.load_state(reader),
-            AnyPrefetcher::Spp(p) => p.load_state(reader),
-            AnyPrefetcher::Dspatch(p) => p.load_state(reader),
-            AnyPrefetcher::DspatchPlusSpp(p) => p.load_state(reader),
-            AnyPrefetcher::BopPlusSpp(p) => p.load_state(reader),
-            AnyPrefetcher::SmsPlusSpp(p) => p.load_state(reader),
-            AnyPrefetcher::Boxed(_) => Err(SnapshotError::Unsupported(
-                "type-erased Boxed prefetchers cannot be checkpointed".to_owned(),
-            )),
-        }
     }
 }
 

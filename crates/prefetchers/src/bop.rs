@@ -12,7 +12,6 @@
 //! default degree of one but raises it to two and four when more than 25 %
 //! and 50 % of the DRAM bandwidth is unused.
 
-use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{
     BandwidthQuartile, FillLevel, LineAddr, MemoryAccess, PrefetchContext, PrefetchRequest,
     PrefetchSink, Prefetcher,
@@ -264,74 +263,6 @@ impl Prefetcher for BopPrefetcher {
         let rr = self.config.rr_entries as u64 * 12;
         let scores = self.config.candidate_offsets.len() as u64 * 5;
         rr + scores + 32
-    }
-}
-
-impl SnapshotState for BopPrefetcher {
-    fn snapshot_tag(&self) -> &'static str {
-        "bop"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), SnapshotError> {
-        writer.put_len(self.rr_table.len());
-        for slot in &self.rr_table {
-            writer.put_opt_u64(slot.map(LineAddr::as_u64));
-        }
-        writer.put_len(self.scores.len());
-        for score in &self.scores {
-            writer.put_u32(*score);
-        }
-        writer.put_u32(self.round);
-        writer.put_usize(self.candidate_index);
-        match self.best_offset {
-            Some(offset) => {
-                writer.put_bool(true);
-                writer.put_i64(offset);
-            }
-            None => writer.put_bool(false),
-        }
-        writer.put_u64(self.stats.accesses);
-        writer.put_u64(self.stats.prefetches);
-        writer.put_u64(self.stats.phases);
-        writer.put_u64(self.stats.disabled_phases);
-        Ok(())
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let rr_len = reader.get_len()?;
-        if rr_len != self.rr_table.len() {
-            return Err(SnapshotError::Invalid(format!(
-                "RR table length {} does not match configured {}",
-                rr_len,
-                self.rr_table.len()
-            )));
-        }
-        for slot in &mut self.rr_table {
-            *slot = reader.get_opt_u64()?.map(LineAddr::new);
-        }
-        let score_len = reader.get_len()?;
-        if score_len != self.scores.len() {
-            return Err(SnapshotError::Invalid(format!(
-                "score table length {} does not match configured {}",
-                score_len,
-                self.scores.len()
-            )));
-        }
-        for score in &mut self.scores {
-            *score = reader.get_u32()?;
-        }
-        self.round = reader.get_u32()?;
-        self.candidate_index = reader.get_usize()?;
-        self.best_offset = if reader.get_bool()? {
-            Some(reader.get_i64()?)
-        } else {
-            None
-        };
-        self.stats.accesses = reader.get_u64()?;
-        self.stats.prefetches = reader.get_u64()?;
-        self.stats.phases = reader.get_u64()?;
-        self.stats.disabled_phases = reader.get_u64()?;
-        Ok(())
     }
 }
 

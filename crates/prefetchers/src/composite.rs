@@ -5,7 +5,6 @@
 //! and their prefetch candidates are merged, de-duplicated and issued
 //! together. The same mechanism evaluates BOP+SPP and SMS+SPP (Figure 14).
 
-use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{LineAddr, MemoryAccess, PrefetchContext, PrefetchSink, Prefetcher};
 
 /// Runs a primary prefetcher and an adjunct side by side, merging requests.
@@ -134,43 +133,6 @@ impl<P: Prefetcher, A: Prefetcher> Prefetcher for AdjunctPrefetcher<P, A> {
 
     fn storage_bits(&self) -> u64 {
         self.primary.storage_bits() + self.adjunct.storage_bits()
-    }
-}
-
-impl<P: SnapshotState, A: SnapshotState> SnapshotState for AdjunctPrefetcher<P, A> {
-    fn snapshot_tag(&self) -> &'static str {
-        "adjunct"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), SnapshotError> {
-        // Tag each half so a restore into a differently-composed adjunct
-        // fails loudly instead of reinterpreting bytes.
-        writer.put_str(self.primary.snapshot_tag());
-        self.primary.save_state(writer)?;
-        writer.put_str(self.adjunct.snapshot_tag());
-        self.adjunct.save_state(writer)?;
-        Ok(())
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let primary_tag = reader.get_str()?;
-        if primary_tag != self.primary.snapshot_tag() {
-            return Err(SnapshotError::Invalid(format!(
-                "primary prefetcher tag {:?} does not match {:?}",
-                primary_tag,
-                self.primary.snapshot_tag()
-            )));
-        }
-        self.primary.load_state(reader)?;
-        let adjunct_tag = reader.get_str()?;
-        if adjunct_tag != self.adjunct.snapshot_tag() {
-            return Err(SnapshotError::Invalid(format!(
-                "adjunct prefetcher tag {:?} does not match {:?}",
-                adjunct_tag,
-                self.adjunct.snapshot_tag()
-            )));
-        }
-        self.adjunct.load_state(reader)
     }
 }
 

@@ -12,7 +12,6 @@
 //! halving at 256 entries / 3.5 KB) and the absence of any accuracy or
 //! bandwidth feedback.
 
-use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{
     FillLevel, MemoryAccess, Pc, PrefetchContext, PrefetchRequest, PrefetchSink, Prefetcher,
     CACHE_LINE_BYTES,
@@ -342,102 +341,6 @@ impl Prefetcher for SmsPrefetcher {
         let gen_entry = 36 + 32 + 6 + lines;
         self.config.pht_entries as u64 * pht_entry
             + (self.config.accumulation_entries + self.config.filter_entries) as u64 * gen_entry
-    }
-}
-
-fn save_generations(generations: &[Generation], writer: &mut StateWriter) {
-    writer.put_len(generations.len());
-    for generation in generations {
-        writer.put_u64(generation.region);
-        writer.put_u64(generation.trigger_pc.as_u64());
-        writer.put_usize(generation.trigger_offset);
-        writer.put_u64(generation.pattern);
-        writer.put_u32(generation.accesses);
-        writer.put_u64(generation.last_use);
-    }
-}
-
-fn load_generations(
-    generations: &mut Vec<Generation>,
-    reader: &mut StateReader<'_>,
-) -> Result<(), SnapshotError> {
-    let len = reader.get_len()?;
-    generations.clear();
-    for _ in 0..len {
-        generations.push(Generation {
-            region: reader.get_u64()?,
-            trigger_pc: Pc::new(reader.get_u64()?),
-            trigger_offset: reader.get_usize()?,
-            pattern: reader.get_u64()?,
-            accesses: reader.get_u32()?,
-            last_use: reader.get_u64()?,
-        });
-    }
-    Ok(())
-}
-
-impl SnapshotState for SmsPrefetcher {
-    fn snapshot_tag(&self) -> &'static str {
-        "sms"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), SnapshotError> {
-        save_generations(&self.filter, writer);
-        save_generations(&self.accumulation, writer);
-        writer.put_len(self.pht.len());
-        for bucket in &self.pht {
-            writer.put_len(bucket.len());
-            for entry in bucket {
-                writer.put_u64(entry.tag);
-                writer.put_u64(entry.pattern);
-                writer.put_u64(entry.last_use);
-            }
-        }
-        writer.put_u64(self.clock);
-        writer.put_u64(self.stats.accesses);
-        writer.put_u64(self.stats.prefetches);
-        writer.put_u64(self.stats.trained_generations);
-        writer.put_u64(self.stats.pht_hits);
-        Ok(())
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        load_generations(&mut self.filter, reader)?;
-        load_generations(&mut self.accumulation, reader)?;
-        let sets = reader.get_len()?;
-        if sets != self.pht.len() {
-            return Err(SnapshotError::Invalid(format!(
-                "PHT set count {} does not match configured {}",
-                sets,
-                self.pht.len()
-            )));
-        }
-        // Refill the existing buckets in place: each was built with exactly
-        // `pht_ways` capacity and must never reallocate on the access path.
-        for bucket in &mut self.pht {
-            let ways = reader.get_len()?;
-            if ways > bucket.capacity() {
-                return Err(SnapshotError::Invalid(format!(
-                    "PHT bucket holds {} ways but only {} are configured",
-                    ways,
-                    bucket.capacity()
-                )));
-            }
-            bucket.clear();
-            for _ in 0..ways {
-                bucket.push(PhtEntry {
-                    tag: reader.get_u64()?,
-                    pattern: reader.get_u64()?,
-                    last_use: reader.get_u64()?,
-                });
-            }
-        }
-        self.clock = reader.get_u64()?;
-        self.stats.accesses = reader.get_u64()?;
-        self.stats.prefetches = reader.get_u64()?;
-        self.stats.trained_generations = reader.get_u64()?;
-        self.stats.pht_hits = reader.get_u64()?;
-        Ok(())
     }
 }
 

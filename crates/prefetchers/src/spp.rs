@@ -13,7 +13,6 @@
 //! confidence threshold from 25 % to 12.5 % whenever less than half of the
 //! DRAM bandwidth is being used.
 
-use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{
     BandwidthQuartile, FillLevel, MemoryAccess, PageAddr, PrefetchContext, PrefetchRequest,
     PrefetchSink, Prefetcher, LINES_PER_PAGE,
@@ -432,93 +431,6 @@ impl Prefetcher for SppPrefetcher {
             + self.pattern_table.len() as u64 * pt_entry
             + self.ghr.len() as u64 * ghr_entry
             + 10 // global feedback counters (Table 3: "10b feedback")
-    }
-}
-
-impl SnapshotState for SppPrefetcher {
-    fn snapshot_tag(&self) -> &'static str {
-        "spp"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), SnapshotError> {
-        writer.put_len(self.signature_table.len());
-        for entry in &self.signature_table {
-            writer.put_u64(entry.page.as_u64());
-            writer.put_usize(entry.last_offset);
-            writer.put_u16(entry.signature);
-            writer.put_bool(entry.valid);
-        }
-        writer.put_len(self.pattern_table.len());
-        for entry in &self.pattern_table {
-            writer.put_u8(entry.c_sig);
-            for slot in &entry.deltas {
-                writer.put_i8(slot.delta);
-                writer.put_u8(slot.counter);
-            }
-        }
-        writer.put_len(self.ghr.len());
-        for entry in &self.ghr {
-            writer.put_u16(entry.signature);
-            writer.put_usize(entry.expected_offset);
-            writer.put_i8(entry.delta);
-            writer.put_bool(entry.valid);
-        }
-        writer.put_u64(self.stats.accesses);
-        writer.put_u64(self.stats.prefetches);
-        writer.put_u64(self.stats.lookahead_limited);
-        writer.put_u64(self.stats.ghr_hits);
-        Ok(())
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let st_len = reader.get_len()?;
-        if st_len != self.signature_table.len() {
-            return Err(SnapshotError::Invalid(format!(
-                "signature table length {} does not match configured {}",
-                st_len,
-                self.signature_table.len()
-            )));
-        }
-        for entry in &mut self.signature_table {
-            entry.page = PageAddr::new(reader.get_u64()?);
-            entry.last_offset = reader.get_usize()?;
-            entry.signature = reader.get_u16()?;
-            entry.valid = reader.get_bool()?;
-        }
-        let pt_len = reader.get_len()?;
-        if pt_len != self.pattern_table.len() {
-            return Err(SnapshotError::Invalid(format!(
-                "pattern table length {} does not match configured {}",
-                pt_len,
-                self.pattern_table.len()
-            )));
-        }
-        for entry in &mut self.pattern_table {
-            entry.c_sig = reader.get_u8()?;
-            for slot in &mut entry.deltas {
-                slot.delta = reader.get_i8()?;
-                slot.counter = reader.get_u8()?;
-            }
-        }
-        let ghr_len = reader.get_len()?;
-        if ghr_len != self.ghr.len() {
-            return Err(SnapshotError::Invalid(format!(
-                "GHR length {} does not match configured {}",
-                ghr_len,
-                self.ghr.len()
-            )));
-        }
-        for entry in &mut self.ghr {
-            entry.signature = reader.get_u16()?;
-            entry.expected_offset = reader.get_usize()?;
-            entry.delta = reader.get_i8()?;
-            entry.valid = reader.get_bool()?;
-        }
-        self.stats.accesses = reader.get_u64()?;
-        self.stats.prefetches = reader.get_u64()?;
-        self.stats.lookahead_limited = reader.get_u64()?;
-        self.stats.ghr_hits = reader.get_u64()?;
-        Ok(())
     }
 }
 

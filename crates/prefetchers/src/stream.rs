@@ -6,7 +6,6 @@
 //! provides that prefetcher: on every access it prefetches the next
 //! `degree` sequential cache lines, optionally detecting descending streams.
 
-use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
 use dspatch_types::{
     FillLevel, MemoryAccess, PageAddr, PrefetchContext, PrefetchRequest, PrefetchSink, Prefetcher,
 };
@@ -119,32 +118,6 @@ impl Prefetcher for StreamPrefetcher {
     fn storage_bits(&self) -> u64 {
         // 16 recent-page slots x (page tag 36b + offset 6b + direction 1b).
         16 * (36 + 6 + 1)
-    }
-}
-
-impl SnapshotState for StreamPrefetcher {
-    fn snapshot_tag(&self) -> &'static str {
-        "stream"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), SnapshotError> {
-        writer.put_len(self.recent.len());
-        for (page, offset) in &self.recent {
-            writer.put_u64(page.as_u64());
-            writer.put_usize(*offset);
-        }
-        Ok(())
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let len = reader.get_len()?;
-        self.recent.clear();
-        for _ in 0..len {
-            let page = PageAddr::new(reader.get_u64()?);
-            let offset = reader.get_usize()?;
-            self.recent.push((page, offset));
-        }
-        Ok(())
     }
 }
 

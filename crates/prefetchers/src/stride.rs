@@ -6,7 +6,7 @@
 //! consecutive accesses; once the stride has been confirmed twice, the
 //! prefetcher runs `degree` strides ahead of the demand stream.
 
-use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
+use dspatch_types::snapshot::{SnapshotError, StateReader, StateWriter};
 use dspatch_types::{
     FillLevel, LineAddr, MemoryAccess, Pc, PrefetchContext, PrefetchRequest, PrefetchSink,
     Prefetcher,
@@ -168,12 +168,12 @@ impl Prefetcher for StridePrefetcher {
     }
 }
 
-impl SnapshotState for StridePrefetcher {
-    fn snapshot_tag(&self) -> &'static str {
-        "stride"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), SnapshotError> {
+/// Checkpoint support: the L1 stride prefetcher is the one predictor a
+/// machine checkpoint holds (every L2 prefetcher column starts fresh).
+impl StridePrefetcher {
+    /// Writes the tracked-PC table and the LRU clock, never the
+    /// configuration, which the restoring side rebuilds.
+    pub fn save_state(&self, writer: &mut StateWriter) {
         writer.put_len(self.entries.len());
         for entry in &self.entries {
             writer.put_u64(entry.pc.as_u64());
@@ -183,10 +183,15 @@ impl SnapshotState for StridePrefetcher {
             writer.put_u64(entry.last_use);
         }
         writer.put_u64(self.clock);
-        Ok(())
     }
 
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+    /// Restores what [`StridePrefetcher::save_state`] wrote into a
+    /// prefetcher built with the same configuration.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SnapshotError`] on truncated or invalid bytes.
+    pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         let len = reader.get_len()?;
         self.entries.clear();
         for _ in 0..len {

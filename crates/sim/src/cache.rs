@@ -9,7 +9,7 @@
 //! position, standing in for the prefetch-aware dead-block-oriented LLC
 //! policy of Table 2.
 
-use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
+use dspatch_types::snapshot::{SnapshotError, StateReader, StateWriter};
 use dspatch_types::{LineAddr, CACHE_LINE_BYTES};
 
 /// Geometry and latency of one cache level.
@@ -438,12 +438,11 @@ impl Cache {
     }
 }
 
-impl SnapshotState for Cache {
-    fn snapshot_tag(&self) -> &'static str {
-        "cache"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), SnapshotError> {
+/// Checkpoint support (see [`crate::snapshot`]).
+impl Cache {
+    /// Writes tags, LRU stamps, the clock and the statistics, never the
+    /// configuration, which the restoring side rebuilds.
+    pub(crate) fn save_state(&self, writer: &mut StateWriter) {
         writer.put_len(self.tags.len());
         for tag in &self.tags {
             writer.put_u64(*tag);
@@ -458,10 +457,11 @@ impl SnapshotState for Cache {
         writer.put_u64(self.stats.prefetch_fills);
         writer.put_u64(self.stats.prefetch_first_uses);
         writer.put_u64(self.stats.prefetch_unused_evictions);
-        Ok(())
     }
 
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+    /// Restores what [`Cache::save_state`] wrote into a cache of the same
+    /// geometry.
+    pub(crate) fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         let slots = reader.get_len()?;
         if slots != self.tags.len() {
             return Err(SnapshotError::Invalid(format!(

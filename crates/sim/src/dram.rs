@@ -7,7 +7,7 @@
 //! Section 3.2).
 
 use crate::config::DramConfig;
-use dspatch_types::snapshot::{SnapshotError, SnapshotState, StateReader, StateWriter};
+use dspatch_types::snapshot::{SnapshotError, StateReader, StateWriter};
 use dspatch_types::{BandwidthQuartile, LineAddr};
 
 /// Statistics accumulated by the DRAM model.
@@ -375,12 +375,11 @@ impl Dram {
     }
 }
 
-impl SnapshotState for Dram {
-    fn snapshot_tag(&self) -> &'static str {
-        "dram"
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), SnapshotError> {
+/// Checkpoint support (see [`crate::snapshot`]).
+impl Dram {
+    /// Writes bank, bus and bandwidth-tracker state and the statistics,
+    /// never the configuration, which the restoring side rebuilds.
+    pub(crate) fn save_state(&self, writer: &mut StateWriter) {
         writer.put_len(self.channels.len());
         for channel in &self.channels {
             writer.put_len(channel.banks.len());
@@ -401,10 +400,11 @@ impl SnapshotState for Dram {
         writer.put_u64(self.stats.prefetch_accesses);
         writer.put_f64(self.stats.utilization_sum);
         writer.put_u64(self.stats.windows);
-        Ok(())
     }
 
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+    /// Restores what [`Dram::save_state`] wrote into a DRAM model of the
+    /// same shape.
+    pub(crate) fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         let channels = reader.get_len()?;
         if channels != self.channels.len() {
             return Err(SnapshotError::Invalid(format!(

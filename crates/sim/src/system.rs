@@ -35,7 +35,7 @@ use dspatch_prefetchers::{AnyPrefetcher, StrideConfig, StridePrefetcher};
 use dspatch_trace::{IntoTraceSource, TraceRecord, TraceSource};
 use dspatch_types::{
     CoreId, FillLevel, LineAddr, MemoryAccess, PrefetchContext, PrefetchRequest, PrefetchSink,
-    Prefetcher, SnapshotError, SnapshotState, StateReader, StateWriter,
+    Prefetcher, SnapshotError,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -864,12 +864,14 @@ impl Machine {
 
     /// Serializes the machine into a versioned [`MachineState`] checkpoint.
     ///
-    /// Only a **functional boundary** can be captured — no ROB/load-buffer
-    /// occupancy, no in-flight DRAM fills, no outstanding prefetch MSHRs —
-    /// which is exactly the state [`Machine::run_functional`] and
-    /// [`Machine::run_interval`] leave behind. Anything else would need the
-    /// whole event calendar serialized and is rejected with
-    /// [`SnapshotError::Unsupported`].
+    /// A checkpoint is the **neutral warm-up** and nothing else: every
+    /// core's L2 prefetcher must be the null one, so the checkpoint holds
+    /// caches, DRAM, the L1 stride prefetcher, accounting and the trace
+    /// position but no L2 predictor. Only a **functional boundary** can be
+    /// captured — no ROB/load-buffer occupancy, no in-flight DRAM fills, no
+    /// outstanding prefetch MSHRs — which is exactly the state
+    /// [`Machine::run_functional`] and [`Machine::run_interval`] leave
+    /// behind. Anything else is rejected with [`SnapshotError::Unsupported`].
     pub fn capture(&self) -> Result<MachineState, SnapshotError> {
         if !self.fab.pending.is_empty() || !self.fab.ready_queue.is_empty() {
             return Err(SnapshotError::Unsupported(
@@ -886,6 +888,13 @@ impl Machine {
                     core.id
                 )));
             }
+            if !matches!(core.l2_prefetcher, AnyPrefetcher::Null(_)) {
+                return Err(SnapshotError::Unsupported(format!(
+                    "capture requires the null L2 prefetcher: core {} runs {}",
+                    core.id,
+                    core.l2_prefetcher.name()
+                )));
+            }
         }
         let mut writer = MachineState::writer();
         writer.put_u64(self.cycle);
@@ -895,22 +904,15 @@ impl Machine {
             writer.put_u64(core.instructions);
             writer.put_u64(core.finish_cycle);
             writer.put_u64(core.last_memory_completion);
-            core.l1.save_state(&mut writer)?;
-            core.l2.save_state(&mut writer)?;
+            core.l1.save_state(&mut writer);
+            core.l2.save_state(&mut writer);
             match core.l1_prefetcher.as_ref() {
                 Some(prefetcher) => {
                     writer.put_bool(true);
-                    prefetcher.save_state(&mut writer)?;
+                    prefetcher.save_state(&mut writer);
                 }
                 None => writer.put_bool(false),
             }
-            // The L2 prefetcher state is tagged and length-prefixed so a
-            // restore into a machine with a *different* prefetcher (shared
-            // warm-up forked across prefetcher columns) can skip it.
-            writer.put_str(core.l2_prefetcher.snapshot_tag());
-            let mut section = StateWriter::new();
-            core.l2_prefetcher.save_state(&mut section)?;
-            writer.put_section(&section.into_bytes());
             let acc = &core.accounting;
             writer.put_u64(acc.l2_demand_accesses);
             writer.put_u64(acc.covered);
@@ -919,8 +921,8 @@ impl Machine {
             writer.put_u64(acc.prefetches_used);
             writer.put_u64(acc.prefetches_unused);
         }
-        self.fab.llc.save_state(&mut writer)?;
-        self.fab.dram.save_state(&mut writer)?;
+        self.fab.llc.save_state(&mut writer);
+        self.fab.dram.save_state(&mut writer);
         let counts = &self.fab.pollution.counts;
         writer.put_u64(counts.no_reuse);
         writer.put_u64(counts.prefetched_before_use);
@@ -934,10 +936,9 @@ impl Machine {
     /// count (generation only — no cache simulation), so snapshots stay
     /// small and valid for any `TraceSource`.
     ///
-    /// The stored L2-prefetcher state is applied only when its tag matches
-    /// this machine's prefetcher; otherwise the predictor keeps its current
-    /// state (the shared-warm-up fork: one neutral checkpoint, many
-    /// prefetcher columns).
+    /// The checkpoint holds no L2 predictor, so this machine's L2
+    /// prefetcher keeps its current state: one neutral warm-up forks across
+    /// every prefetcher column, each starting its own predictor fresh.
     ///
     /// # Errors
     ///
@@ -970,13 +971,6 @@ impl Machine {
                         "snapshot and machine disagree on the L1 stride prefetcher".to_owned(),
                     ))
                 }
-            }
-            let tag = reader.get_str()?;
-            let section = reader.get_section()?;
-            if tag == core.l2_prefetcher.snapshot_tag() {
-                let mut section_reader = StateReader::new(section);
-                core.l2_prefetcher.load_state(&mut section_reader)?;
-                section_reader.expect_end()?;
             }
             core.accounting = PrefetchAccounting {
                 l2_demand_accesses: reader.get_u64()?,
@@ -1933,10 +1927,7 @@ mod tests {
     fn checkpoint_restore_is_bit_identical() {
         let machine = || {
             SimulationBuilder::new(SystemConfig::single_thread())
-                .with_core(
-                    stream_trace(6_000, 42),
-                    StreamPrefetcher::new(StreamConfig::default()),
-                )
+                .with_core(stream_trace(6_000, 42), NullPrefetcher::new())
                 .into_machine()
         };
         let mut original = machine();
@@ -1967,10 +1958,7 @@ mod tests {
         config.max_cycles = 100_000;
         let machine = || {
             SimulationBuilder::new(config.clone())
-                .with_core(
-                    stream_trace(8_000, 42),
-                    StreamPrefetcher::new(StreamConfig::default()),
-                )
+                .with_core(stream_trace(8_000, 42), NullPrefetcher::new())
                 .into_machine()
         };
         let mut original = machine();

@@ -12,8 +12,8 @@
 //! * [`TraceRecord`] / [`Trace`] — the trace representation consumed by the
 //!   simulator (`dspatch-sim`).
 //! * [`source`] — the streaming [`TraceSource`] API: pull-based,
-//!   O(1)-memory trace delivery (lazy synthetic sources, the owned-trace
-//!   adapter, chained sources). This is how the simulator consumes traces;
+//!   O(1)-memory trace delivery (lazy synthetic sources and the
+//!   owned-trace adapter). This is how the simulator consumes traces;
 //!   materializing a `Trace` is only needed for random-access analysis.
 //! * [`synth`] — the pattern generators, each an incremental
 //!   [`RecordStream`] whose materialized form is the stream collected.

@@ -314,26 +314,6 @@ impl Prefetcher for NullPrefetcher {
     }
 }
 
-impl crate::snapshot::SnapshotState for NullPrefetcher {
-    fn snapshot_tag(&self) -> &'static str {
-        "null"
-    }
-
-    fn save_state(
-        &self,
-        _writer: &mut crate::snapshot::StateWriter,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        Ok(())
-    }
-
-    fn load_state(
-        &mut self,
-        _reader: &mut crate::snapshot::StateReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,14 +1,16 @@
-//! Sampled-simulation golden tests: checkpoint fidelity for every registry
-//! prefetcher, and statistical validity of the interval estimates.
+//! Sampled-simulation golden tests: checkpoint fidelity of the neutral
+//! warm-up, and statistical validity of the interval estimates.
 //!
 //! Two guarantees are pinned here:
 //!
-//! 1. **Bit-identical restore** — for every prefetcher in the registry, a
-//!    machine checkpointed after functional warm-up and restored from the
-//!    serialized bytes produces *exactly* the measurement the original
-//!    machine does. This exercises the full `SnapshotState` surface (every
-//!    predictor's save/load, caches, DRAM, accounting) through the public
-//!    byte format, not just in-memory clones.
+//! 1. **Bit-identical restore** — a checkpoint holds only the neutral
+//!    (null-L2-prefetcher) warm-up. A baseline machine checkpointed after
+//!    functional warm-up and restored from the serialized bytes produces
+//!    *exactly* the measurement the original machine does (caches, DRAM,
+//!    the L1 stride prefetcher, accounting and trace position all travel
+//!    through the public byte format), every other registry prefetcher's
+//!    capture is refused, and the neutral checkpoint restores into every
+//!    prefetcher column.
 //! 2. **CI coverage** — on a pinned (workload, prefetcher) matrix, the
 //!    sampled run's 95% confidence interval covers the exact run's IPC.
 //!    Everything is seed-deterministic, so this is a golden test, not a
@@ -19,6 +21,7 @@ use dspatch_harness::runner::{run_workload, PrefetcherKind, RunScale};
 use dspatch_harness::sampling::{run_sampled_workload, warmup_checkpoint, SamplingPlan};
 use dspatch_sim::{MachineState, SimulationBuilder, SystemConfig};
 use dspatch_trace::workloads::{category_suite, WorkloadCategory};
+use dspatch_types::SnapshotError;
 
 fn plan() -> SamplingPlan {
     SamplingPlan {
@@ -40,33 +43,39 @@ fn scale() -> RunScale {
 }
 
 #[test]
-fn checkpoints_round_trip_bit_identically_for_every_registry_prefetcher() {
+fn only_the_neutral_machine_can_be_checkpointed() {
     let workload = &category_suite(WorkloadCategory::Ispec17)[0];
     let config = SystemConfig::single_thread();
     for kind in PrefetcherKind::ALL {
-        let mut machine = SimulationBuilder::new(config.clone())
-            .with_core(workload.source(20_000), kind.build_any())
-            .into_machine();
-        machine.run_functional(4_000);
-        let state = machine
-            .capture()
-            .expect("functional boundary is capturable");
+        let machine = || {
+            SimulationBuilder::new(config.clone())
+                .with_core(workload.source(20_000), kind.build_any())
+                .into_machine()
+        };
+        let mut original = machine();
+        original.run_functional(4_000);
+        let captured = original.capture();
+        if kind != PrefetcherKind::Baseline {
+            assert!(
+                matches!(captured, Err(SnapshotError::Unsupported(_))),
+                "{kind:?}: only the null L2 prefetcher may be captured, got {:?}",
+                captured.map(|state| state.len())
+            );
+            continue;
+        }
+        let state = captured.expect("functional boundary is capturable");
 
         // Through the full byte format, as a checkpoint file would travel.
         let bytes = state.as_bytes().to_vec();
         let reloaded = MachineState::from_bytes(bytes).expect("bytes validate");
-        assert_eq!(state, reloaded, "{kind:?}: byte round trip");
+        assert_eq!(state, reloaded, "byte round trip");
 
-        let mut restored = SimulationBuilder::new(config.clone())
-            .with_core(workload.source(20_000), kind.build_any())
-            .into_machine();
+        let mut restored = machine();
         restored.restore(&reloaded).expect("restore succeeds");
-
-        let original = machine.run_interval(2_000);
-        let replayed = restored.run_interval(2_000);
         assert_eq!(
-            original, replayed,
-            "{kind:?}: restored machine must measure bit-identically"
+            original.run_interval(2_000),
+            restored.run_interval(2_000),
+            "restored machine must measure bit-identically"
         );
     }
 }
@@ -75,7 +84,7 @@ fn checkpoints_round_trip_bit_identically_for_every_registry_prefetcher() {
 fn neutral_warmup_restores_into_any_prefetcher_column() {
     // The campaign executor warms once with the null prefetcher and forks
     // the checkpoint across columns; every registry prefetcher must accept
-    // that foreign-tagged checkpoint (keeping its own predictor fresh).
+    // it (keeping its own predictor fresh).
     let workload = &category_suite(WorkloadCategory::Cloud)[0];
     let config = SystemConfig::single_thread();
     let warm = warmup_checkpoint(Box::new(workload.source(20_000)), &config, &plan())
@@ -86,7 +95,7 @@ fn neutral_warmup_restores_into_any_prefetcher_column() {
             .into_machine();
         machine
             .restore(&warm)
-            .unwrap_or_else(|e| panic!("{kind:?}: foreign-tag restore failed: {e}"));
+            .unwrap_or_else(|e| panic!("{kind:?}: neutral restore failed: {e}"));
         let interval = machine.run_interval(1_000);
         assert!(
             interval.cores[0].l1.demand_hits + interval.cores[0].l1.demand_misses > 0,
@@ -113,7 +122,7 @@ fn sampled_confidence_intervals_cover_exact_ipc() {
         let exact = run_workload(workload, kind, &config, &exact_scale);
         let exact_ipc = exact.cores[0].ipc();
 
-        let sampled = run_sampled_workload(workload, kind.build_any(), &config, &scale(), None)
+        let sampled = run_sampled_workload(workload, kind.build_any(), &config, &scale())
             .expect("plan fits the workload");
         let stats = sampled.sampling.expect("sampled result carries stats");
         assert!(
