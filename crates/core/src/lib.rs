@@ -4,11 +4,11 @@
 //! spatial prefetcher that
 //!
 //! 1. records program accesses to a 4 KB physical page as a 64-bit spatial
-//!    bit-pattern in a small [`PageBuffer`](page_buffer::PageBuffer),
+//!    bit-pattern in a small [`PageBuffer`],
 //! 2. learns **two modulated bit-patterns** per trigger-PC signature in a
-//!    256-entry [`SignaturePredictionTable`](spt::SignaturePredictionTable) —
-//!    a coverage-biased pattern `CovP` (bitwise OR of observed patterns) and
-//!    an accuracy-biased pattern `AccP` (`program AND CovP`), and
+//!    256-entry [`SignaturePredictionTable`] — a coverage-biased pattern
+//!    `CovP` (bitwise OR of observed patterns) and an accuracy-biased
+//!    pattern `AccP` (`program AND CovP`), and
 //! 3. selects between them at run time using the 2-bit DRAM
 //!    bandwidth-utilization quartile broadcast by the memory controller
 //!    ([`selection`]).

@@ -1,6 +1,6 @@
 //! The DSPatch prefetcher: Page Buffer + Signature Prediction Table +
-//! bandwidth-driven pattern selection, behind the common
-//! [`Prefetcher`](dspatch_types::Prefetcher) trait.
+//! bandwidth-driven pattern selection, behind the common [`Prefetcher`]
+//! trait.
 
 use crate::config::DsPatchConfig;
 use crate::page_buffer::{PageBuffer, PageBufferEntry, TriggerInfo};

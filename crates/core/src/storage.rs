@@ -7,9 +7,8 @@
 //! | PB  | page number (36) + bit-pattern (64) + 2 × [PC (8) + offset (6)] = 158 | 64 | 10 112 |
 //! | SPT | CovP (32) + 2 × MeasureCovP (2) + 2 × OrCount (2) + AccP (32) + 2 × MeasureAccP (2) = 76 | 256 | 19 456 |
 //!
-//! [`StorageBreakdown`] recomputes those numbers from a
-//! [`DsPatchConfig`](crate::DsPatchConfig) so that configuration sweeps keep
-//! the storage column honest.
+//! [`StorageBreakdown`] recomputes those numbers from a [`DsPatchConfig`]
+//! so that configuration sweeps keep the storage column honest.
 
 use crate::config::DsPatchConfig;
 use crate::page_buffer::SEGMENTS_PER_PAGE;

@@ -33,8 +33,8 @@
 //! those checkpoints on disk across runs. Sampled scales are
 //! single-core-only (mixes are rejected as a spec error).
 //!
-//! `--retries N` retries a transiently failing cell up to N extra times
-//! before quarantining it. `--store DIR` opens the content-addressed result
+//! Each cell runs once; a cell that panics is quarantined and the campaign
+//! completes without it. `--store DIR` opens the content-addressed result
 //! store `dspatch-serve` uses (`DIR/results.jsonl`): cells already present
 //! are served from it and every fresh result is appended and flushed as it
 //! finishes, so identical cells never simulate twice across CLI runs or
@@ -57,7 +57,7 @@ use dspatch_harness::runner::{PrefetcherKind, RunScale};
 use dspatch_harness::{CampaignSpec, HarnessError, ResultStore, Table};
 use dspatch_sim::{SimulationBuilder, SystemConfig};
 use dspatch_trace::io::open_trace_source;
-use dspatch_trace::{suite, LengthHint};
+use dspatch_trace::suite;
 
 enum Format {
     Table,
@@ -68,9 +68,8 @@ enum Format {
 fn usage() -> ! {
     eprintln!(
         "usage: dspatch-lab (--figure NAME | --spec FILE.json | --trace-file FILE | --list | --template)\n\
-         \x20                [--scale smoke|quick|full] [--format table|json|csv]\n\
+         \x20                [--scale smoke|quick|full] [--format table|json|csv] [--store DIR]\n\
          \x20                [--threads N] [--prefetchers KIND[,KIND...]] [--out PATH]\n\
-         \x20                [--retries N] [--store DIR]\n\
          \x20                [--sample warmup=N,interval=N,n=K[,seed=S]] [--checkpoint-dir DIR]\n\
          \x20      dspatch-lab query --store DIR [--where FIELD<OP>VALUE]... [--FIELD VALUE]...\n\
          \x20                [--group-by FIELDS] [--agg FN:METRIC | --trend METRIC] [--all-versions]\n\
@@ -112,7 +111,6 @@ fn main() {
     let mut format_set = false;
     let mut threads: Option<usize> = None;
     let mut out: Option<String> = None;
-    let mut retries: Option<u32> = None;
     let mut store: Option<String> = None;
     let mut sample: Option<String> = None;
     let mut checkpoint_dir: Option<String> = None;
@@ -148,13 +146,6 @@ fn main() {
                 )
             }
             "--out" => out = Some(value("--out")),
-            "--retries" => {
-                retries = Some(
-                    value("--retries")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--retries must be an integer")),
-                )
-            }
             "--store" => store = Some(value("--store")),
             "--sample" => sample = Some(value("--sample")),
             "--checkpoint-dir" => checkpoint_dir = Some(value("--checkpoint-dir")),
@@ -201,11 +192,11 @@ fn main() {
     if checkpoint_dir.is_some() && spec_path.is_none() {
         fail("--checkpoint-dir only applies to --spec campaigns");
     }
-    if (retries.is_some() || store.is_some()) && spec_path.is_none() {
-        // Without a campaign these flags would be silently ignored; refuse
+    if store.is_some() && spec_path.is_none() {
+        // Without a campaign the store would be silently ignored; refuse
         // instead (exit 2) so a typo'd invocation can't masquerade as a
         // store-backed run.
-        fail("--retries/--store only apply to --spec campaigns");
+        fail("--store only applies to --spec campaigns");
     }
     // --list/--template ignore the report-shaping flags entirely; reject the
     // combination rather than silently dropping them (--out is meaningful:
@@ -273,9 +264,6 @@ fn main() {
                 let mut opts = ExecOptions::default();
                 if let Some(dir) = &checkpoint_dir {
                     opts.checkpoint_dir = Some(dir.into());
-                }
-                if let Some(extra) = retries {
-                    opts.retry.attempts = extra.saturating_add(1);
                 }
                 if let Some(dir) = &store {
                     let result_store =
@@ -403,7 +391,7 @@ fn replay_trace_file(path: &str, prefetchers: Option<&str>) -> Table {
     let meta = source.meta();
     // An empty trace would replay nothing and report IPC 0 and a 1.0x
     // speedup on every row.
-    if meta.accesses == LengthHint::Exact(0) {
+    if meta.accesses == 0 {
         fail_typed(&HarnessError::spec(format!(
             "{path}: trace holds no records"
         )));
@@ -428,22 +416,16 @@ fn replay_trace_file(path: &str, prefetchers: Option<&str>) -> Table {
             .run()
     };
     eprintln!(
-        "replaying '{}' ({} accesses{}) under {} prefetcher(s) + baseline",
+        "replaying '{}' ({} accesses) under {} prefetcher(s) + baseline",
         meta.name,
-        meta.accesses.value(),
-        if meta.accesses.is_exact() {
-            ""
-        } else {
-            ", estimated"
-        },
+        meta.accesses,
         kinds.len(),
     );
     let baseline = run(PrefetcherKind::Baseline);
     let mut table = Table::new(
         format!(
             "External trace replay: {} ({} accesses)",
-            meta.name,
-            meta.accesses.value()
+            meta.name, meta.accesses
         ),
         vec![
             "Prefetcher".into(),

@@ -30,19 +30,18 @@
 //! over this engine, and the `dspatch-lab` binary runs either a named figure
 //! or a custom spec file (see `CampaignSpec::from_json`).
 //!
-//! The executor is **fault tolerant**: every cell simulation runs under
-//! `catch_unwind`, failures are classified into the typed
-//! [`crate::error::HarnessError`] taxonomy, transient failures retry with a
-//! bounded deterministic backoff ([`RetryPolicy`]), and cells that exhaust
-//! their budget are **quarantined** as [`CellFailure`]s on the result
-//! instead of sinking the whole campaign. With [`ExecOptions::store`] set,
-//! each completed cell is appended to the crash-safe, content-addressed
-//! result store ([`crate::store`]); re-running a killed campaign against the
-//! same store re-executes only the missing cells, producing bit-identical
-//! output to an uninterrupted run.
+//! The executor is **fault tolerant**: every cell simulation runs once,
+//! under `catch_unwind`, and a cell that panics is **quarantined** as a
+//! [`CellFailure`] carrying a typed [`crate::error::HarnessError::CellPanic`]
+//! instead of sinking the whole campaign (cells are deterministic, so a
+//! re-run would panic again). With [`ExecOptions::store`] set, each
+//! completed cell is appended to the crash-safe, content-addressed result
+//! store ([`crate::store`]); re-running a killed campaign against the same
+//! store re-executes only the missing cells, producing bit-identical output
+//! to an uninterrupted run.
 
 use crate::error::HarnessError;
-use crate::faults::{FaultKind, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::json::Json;
 use crate::report::{percent, Table};
 use crate::results::ResultRow;
@@ -968,7 +967,7 @@ struct ResolvedCell {
 /// Only the spec-deterministic fields (`sims_run`, `baseline_sims`,
 /// `memo_hits`, `threads`) appear in [`CampaignResult::to_json`]; the
 /// robustness counters below them describe *how* this particular run went
-/// (store hits, retries, quarantines) and are deliberately excluded so a
+/// (store hits, quarantines, warm-ups) and are deliberately excluded so a
 /// resumed or store-served campaign renders bit-identically to an
 /// uninterrupted, cold-cache one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -985,9 +984,7 @@ pub struct ExecStats {
     /// Simulations served from the content-addressed [`crate::store`]
     /// instead of re-executing (cross-campaign, cross-process memoization).
     pub store_hits: usize,
-    /// Extra attempts spent on transiently failing cells.
-    pub retries: usize,
-    /// Cells quarantined after exhausting their retry budget.
+    /// Cells quarantined because their simulation panicked.
     pub quarantined: usize,
     /// Warm-up checkpoints **computed** by this campaign (sampled scales
     /// only). Checkpoints restored from `checkpoint_dir` do not count: the
@@ -1013,7 +1010,7 @@ pub struct CampaignRow {
     pub baseline: Option<usize>,
 }
 
-/// One quarantined grid point: the cell failed every attempt and the
+/// One quarantined grid point: the cell's simulation panicked and the
 /// campaign completed without it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellFailure {
@@ -1025,10 +1022,7 @@ pub struct CellFailure {
     pub prefetcher: String,
     /// Config label.
     pub config: String,
-    /// Attempts made (1 initial + retries).
-    pub attempts: u32,
-    /// The classified failure, a [`HarnessError::Quarantined`] wrapping the
-    /// final attempt's error.
+    /// The classified failure, a [`HarnessError::CellPanic`].
     pub error: HarnessError,
 }
 
@@ -1184,7 +1178,6 @@ impl CampaignResult {
                     ("target", Json::str(&failure.target)),
                     ("prefetcher", Json::str(&failure.prefetcher)),
                     ("config", Json::str(&failure.config)),
-                    ("attempts", Json::num(f64::from(failure.attempts))),
                     ("error", failure.error.to_json()),
                 ])
             });
@@ -1255,39 +1248,6 @@ fn round6(value: f64) -> f64 {
     crate::json::rounded(value, 1e6)
 }
 
-/// Bounded, deterministic retry for transiently failing cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per cell (1 = no retry). Clamped to at least 1.
-    pub attempts: u32,
-    /// Base backoff before the second attempt; doubles per further attempt
-    /// (25 ms, 50 ms, 100 ms, ...). Deterministic, not jittered: retry
-    /// timing must never make a campaign's *results* nondeterministic, and
-    /// the executor's workers are self-scheduling so thundering herds are
-    /// not a concern.
-    pub backoff_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            attempts: 2,
-            backoff_ms: 25,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The delay before the given 1-based attempt (zero before the first).
-    pub fn backoff_before(&self, attempt: u32) -> std::time::Duration {
-        if attempt <= 1 {
-            return std::time::Duration::ZERO;
-        }
-        let doublings = (attempt - 2).min(16);
-        std::time::Duration::from_millis(self.backoff_ms.saturating_mul(1u64 << doublings))
-    }
-}
-
 /// How one grid cell obtained its result, reported in
 /// [`ProgressEvent::CellFinished`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1296,7 +1256,7 @@ pub enum CellOutcome {
     Fresh,
     /// Served from the content-addressed result store.
     Store,
-    /// Quarantined after exhausting its retry budget.
+    /// Quarantined: its simulation panicked.
     Quarantined,
 }
 
@@ -1359,13 +1319,11 @@ pub type ProgressSink = std::sync::Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
 /// campaigns and with the serve layer's query endpoints).
 pub type SharedStore = std::sync::Arc<Mutex<crate::store::ResultStore>>;
 
-/// Execution options for [`run_campaign_with`]: retry budget, optional
-/// fault injection, optional durable result store, optional progress
-/// callbacks.
+/// Execution options for [`run_campaign_with`]: optional fault injection,
+/// optional durable result store, optional progress callbacks and an
+/// optional checkpoint directory.
 #[derive(Clone, Default)]
 pub struct ExecOptions {
-    /// Retry budget per cell.
-    pub retry: RetryPolicy,
     /// Deterministic fault injection (tests only; `None` in production).
     pub faults: Option<FaultPlan>,
     /// Content-addressed durable store: cells whose
@@ -1387,7 +1345,6 @@ pub struct ExecOptions {
 impl std::fmt::Debug for ExecOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecOptions")
-            .field("retry", &self.retry)
             .field("faults", &self.faults)
             .field("store", &self.store.as_ref().map(|_| "<store>"))
             .field("progress", &self.progress.as_ref().map(|_| "<sink>"))
@@ -1481,8 +1438,8 @@ pub fn run_campaign(spec: &CampaignSpec, scale: &RunScale) -> Result<CampaignRes
     run_campaign_with(spec, scale, &ExecOptions::default()).map_err(|error| error.to_string())
 }
 
-/// [`run_campaign`] with explicit execution options: retry policy, fault
-/// injection, and the durable result store.
+/// [`run_campaign`] with explicit execution options: fault injection, the
+/// durable result store, progress callbacks and the checkpoint directory.
 ///
 /// # Errors
 ///
@@ -1618,73 +1575,37 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One isolated attempt at a job: arms any injected fault, then runs the
-/// simulation under `catch_unwind` so a panic (injected or real) becomes a
-/// typed [`HarnessError`] instead of tearing down the worker pool.
-fn attempt_job(
-    job: &Job,
-    scale: &RunScale,
-    opts: &ExecOptions,
-    attempt: u32,
-) -> Result<SimResult, HarnessError> {
+/// A job's outcome: its simulation, or the quarantine record of a job
+/// that panicked.
+type JobOutcome = Result<SimResult, Box<CellFailure>>;
+
+/// Runs one job once, under `catch_unwind`, so a panic (injected by the
+/// fault plan or real) quarantines the cell instead of tearing down the
+/// worker pool.
+fn run_job(job: &Job, scale: &RunScale, opts: &ExecOptions) -> JobOutcome {
     let prefetcher = job.sel.label();
-    let armed = opts
+    let poisoned = opts
         .faults
         .as_ref()
-        .and_then(|plan| plan.arm(job.target.name(), &prefetcher, attempt));
-    if matches!(armed, Some(FaultKind::Io)) {
-        return Err(HarnessError::CellIo {
-            job: job.key.clone(),
-            message: format!("injected I/O fault (attempt {attempt})"),
-        });
-    }
+        .is_some_and(|plan| plan.poisons(job.target.name(), &prefetcher));
     catch_unwind(AssertUnwindSafe(|| {
-        if matches!(armed, Some(FaultKind::Panic)) {
-            panic!("injected panic (attempt {attempt})");
+        if poisoned {
+            panic!("injected panic");
         }
         job.run(scale)
     }))
-    .map_err(|payload| HarnessError::CellPanic {
-        job: job.key.clone(),
-        message: panic_message(payload),
+    .map_err(|payload| {
+        Box::new(CellFailure {
+            key: job.key.clone(),
+            target: job.target.name().to_owned(),
+            prefetcher,
+            config: job.config_label.clone(),
+            error: HarnessError::CellPanic {
+                job: job.key.clone(),
+                message: panic_message(payload),
+            },
+        })
     })
-}
-
-/// A job's outcome: its simulation, or the quarantine record of a job that
-/// failed every attempt.
-type JobOutcome = Result<SimResult, Box<CellFailure>>;
-
-/// Runs one job to completion or quarantine: up to `retry.attempts` isolated
-/// attempts with deterministic exponential backoff between them.
-fn run_job(job: &Job, scale: &RunScale, opts: &ExecOptions, retries: &AtomicUsize) -> JobOutcome {
-    let attempts = opts.retry.attempts.max(1);
-    let mut last: Option<HarnessError> = None;
-    for attempt in 1..=attempts {
-        if attempt > 1 {
-            retries.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(opts.retry.backoff_before(attempt));
-        }
-        match attempt_job(job, scale, opts, attempt) {
-            Ok(sim) => return Ok(sim),
-            Err(error) => last = Some(error),
-        }
-    }
-    let last = last.unwrap_or_else(|| HarnessError::CellPanic {
-        job: job.key.clone(),
-        message: "no attempt recorded an error".to_owned(),
-    });
-    Err(Box::new(CellFailure {
-        key: job.key.clone(),
-        target: job.target.name().to_owned(),
-        prefetcher: job.sel.label(),
-        config: job.config_label.clone(),
-        attempts,
-        error: HarnessError::Quarantined {
-            job: job.key.clone(),
-            attempts,
-            last: Box::new(last),
-        },
-    }))
 }
 
 /// One warm-up group's result: the shared checkpoint plus whether it was
@@ -1833,8 +1754,7 @@ fn execute_cells(
     }
 
     let threads = scale.threads.clamp(1, jobs.len().max(1));
-    let retries = AtomicUsize::new(0);
-    let mut outcomes = run_jobs(name, &jobs, &replayed, scale, opts, threads, &retries)?;
+    let mut outcomes = run_jobs(name, &jobs, &replayed, scale, opts, threads)?;
     outcomes.extend(
         replayed
             .into_iter()
@@ -1845,7 +1765,6 @@ fn execute_cells(
         memo_hits,
         threads,
         store_hits,
-        retries: retries.into_inner(),
         warmups_run,
         ..ExecStats::default()
     };
@@ -1969,7 +1888,6 @@ fn run_jobs(
     scale: &RunScale,
     opts: &ExecOptions,
     threads: usize,
-    retries: &AtomicUsize,
 ) -> Result<Vec<(usize, JobOutcome)>, HarnessError> {
     let mut pending: Vec<usize> = (0..jobs.len())
         .filter(|&index| replayed[index].is_none())
@@ -1986,7 +1904,7 @@ fn run_jobs(
     let completed = AtomicUsize::new(jobs.len() - pending.len());
     let outcomes = drain(threads, pending.len(), |next| {
         let job = &jobs[pending[next]];
-        let outcome = run_job(job, scale, opts, retries);
+        let outcome = run_job(job, scale, opts);
         // Durable store append, one flushed record per fresh result: it
         // becomes addressable by all future campaigns (a killed run's re-run
         // included). The lock is taken after the (multi-second) simulation,

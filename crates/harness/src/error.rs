@@ -24,8 +24,8 @@ pub enum ErrorClass {
     /// A persisted file of a foreign kind or an unsupported format version
     /// (exit 6).
     Mismatch,
-    /// One or more cells were quarantined after exhausting retries; the
-    /// rest of the campaign completed (exit 7).
+    /// One or more cells panicked and were quarantined; the rest of the
+    /// campaign completed (exit 7).
     Cell,
 }
 
@@ -101,23 +101,6 @@ pub enum HarnessError {
         /// The rendered panic payload.
         message: String,
     },
-    /// A cell hit an injected or real I/O failure while executing.
-    CellIo {
-        /// The job coordinates.
-        job: String,
-        /// The failure, rendered.
-        message: String,
-    },
-    /// A cell exhausted its retry budget and was quarantined; the campaign
-    /// completed without it.
-    Quarantined {
-        /// The job coordinates.
-        job: String,
-        /// Attempts made (1 initial + retries).
-        attempts: u32,
-        /// The error from the final attempt.
-        last: Box<HarnessError>,
-    },
 }
 
 impl HarnessError {
@@ -144,9 +127,7 @@ impl HarnessError {
             HarnessError::Io { .. } => ErrorClass::Io,
             HarnessError::Corrupt { .. } => ErrorClass::Corrupt,
             HarnessError::Mismatch { .. } => ErrorClass::Mismatch,
-            HarnessError::CellPanic { .. }
-            | HarnessError::CellIo { .. }
-            | HarnessError::Quarantined { .. } => ErrorClass::Cell,
+            HarnessError::CellPanic { .. } => ErrorClass::Cell,
         }
     }
 
@@ -178,12 +159,8 @@ impl HarnessError {
                 entries.push(("expected".to_owned(), Json::str(expected)));
                 entries.push(("found".to_owned(), Json::str(found)));
             }
-            HarnessError::CellPanic { job, .. } | HarnessError::CellIo { job, .. } => {
+            HarnessError::CellPanic { job, .. } => {
                 entries.push(("job".to_owned(), Json::str(job)));
-            }
-            HarnessError::Quarantined { job, attempts, .. } => {
-                entries.push(("job".to_owned(), Json::str(job)));
-                entries.push(("attempts".to_owned(), Json::num(*attempts as f64)));
             }
         }
         Json::Obj(entries)
@@ -212,29 +189,11 @@ impl std::fmt::Display for HarnessError {
             HarnessError::CellPanic { job, message } => {
                 write!(f, "cell {job} panicked: {message}")
             }
-            HarnessError::CellIo { job, message } => {
-                write!(f, "cell {job}: I/O failure: {message}")
-            }
-            HarnessError::Quarantined {
-                job,
-                attempts,
-                last,
-            } => write!(
-                f,
-                "cell {job} quarantined after {attempts} attempts: {last}"
-            ),
         }
     }
 }
 
-impl std::error::Error for HarnessError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            HarnessError::Quarantined { last, .. } => Some(last.as_ref()),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for HarnessError {}
 
 impl From<dspatch_trace::TraceFileError> for HarnessError {
     fn from(error: dspatch_trace::TraceFileError) -> Self {
@@ -297,19 +256,15 @@ mod tests {
             "store/results.jsonl: store mismatch: file has 'other', \
              expected 'dspatch-result-store'"
         );
-        let quarantined = HarnessError::Quarantined {
+        let panicked = HarnessError::CellPanic {
             job: "hpc:stream_1:SPP@1T".to_owned(),
-            attempts: 2,
-            last: Box::new(HarnessError::CellPanic {
-                job: "hpc:stream_1:SPP@1T".to_owned(),
-                message: "boom".to_owned(),
-            }),
+            message: "boom".to_owned(),
         };
-        let text = quarantined.to_string();
-        assert!(text.contains("after 2 attempts"), "got: {text}");
-        assert!(text.contains("boom"), "got: {text}");
-        assert_eq!(quarantined.class(), ErrorClass::Cell);
-        assert!(std::error::Error::source(&quarantined).is_some());
+        assert_eq!(
+            panicked.to_string(),
+            "cell hpc:stream_1:SPP@1T panicked: boom"
+        );
+        assert_eq!(panicked.class(), ErrorClass::Cell);
     }
 
     #[test]

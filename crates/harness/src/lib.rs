@@ -48,10 +48,10 @@ pub mod store;
 pub use analytics::{ColumnarView, Query, QueryOutput};
 pub use campaign::{
     CampaignResult, CampaignSpec, CellFailure, CellOutcome, CellSpec, ExecOptions, ProgressEvent,
-    ProgressSink, RetryPolicy, SharedStore,
+    ProgressSink, SharedStore,
 };
 pub use error::{ErrorClass, HarnessError};
-pub use faults::{Fault, FaultPlan};
+pub use faults::FaultPlan;
 pub use figures::FigureId;
 pub use json::{Json, JsonError, JsonErrorKind};
 pub use report::Table;

@@ -22,7 +22,7 @@ use crate::runner::RunScale;
 use dspatch_prefetchers::AnyPrefetcher;
 use dspatch_sim::stats::{IntervalEstimate, SamplingStats};
 use dspatch_sim::{MachineState, SimResult, SimulationBuilder, SystemConfig};
-use dspatch_trace::{TraceMeta, TraceSource, WorkloadSpec};
+use dspatch_trace::{TraceSource, WorkloadSpec};
 use dspatch_types::NullPrefetcher;
 
 /// How a sampled run divides a workload: one warm-up prefix plus
@@ -237,27 +237,6 @@ pub fn mean_ci95(samples: &[f64]) -> IntervalEstimate {
     }
 }
 
-/// The exact record count of a source, required to place intervals.
-///
-/// # Errors
-///
-/// Returns [`HarnessError::Spec`] when the source only estimates its
-/// length (e.g. a file trace whose record count was derived from the file
-/// size): a sampled run would silently mis-place intervals, so it is
-/// rejected up front.
-pub fn exact_total_accesses(meta: &TraceMeta) -> Result<u64, HarnessError> {
-    if meta.accesses.is_exact() {
-        Ok(meta.accesses.value())
-    } else {
-        Err(HarnessError::spec(format!(
-            "sampling needs an exact trace length but '{}' only estimates ~{} accesses; \
-             materialize or re-index the trace first",
-            meta.name,
-            meta.accesses.value()
-        )))
-    }
-}
-
 /// Functionally warms one machine (null L2 prefetcher) over the plan's
 /// warm-up prefix and captures the checkpoint the campaign executor forks
 /// across prefetcher columns.
@@ -271,8 +250,7 @@ pub fn warmup_checkpoint(
     config: &SystemConfig,
     plan: &SamplingPlan,
 ) -> Result<MachineState, HarnessError> {
-    let total = exact_total_accesses(&source.meta())?;
-    plan.validate_for(total)?;
+    plan.validate_for(source.meta().accesses)?;
     let mut machine = SimulationBuilder::new(config.clone())
         .with_core(source, NullPrefetcher::new())
         .into_machine();
@@ -290,8 +268,8 @@ pub fn warmup_checkpoint(
 ///
 /// # Errors
 ///
-/// Returns [`HarnessError::Spec`] when the plan does not fit the source,
-/// the source length is inexact, or the checkpoint fails to restore.
+/// Returns [`HarnessError::Spec`] when the plan does not fit the source
+/// or the checkpoint fails to restore.
 pub fn run_sampled(
     source: Box<dyn TraceSource>,
     prefetcher: AnyPrefetcher,
@@ -299,7 +277,7 @@ pub fn run_sampled(
     plan: &SamplingPlan,
     warm: &MachineState,
 ) -> Result<SimResult, HarnessError> {
-    let total = exact_total_accesses(&source.meta())?;
+    let total = source.meta().accesses;
     plan.validate_for(total)?;
     let mut machine = SimulationBuilder::new(config.clone())
         .with_core(source, prefetcher)
@@ -422,19 +400,29 @@ fn add_cache_stats(into: &mut dspatch_sim::CacheStats, from: &dspatch_sim::Cache
 }
 
 /// A warm checkpoint's identity for `--checkpoint-dir`: everything that
-/// changes the warm state — target, config, warm-up length — plus the code
-/// version, hashed into a filename-safe token. Prefetcher columns are
-/// deliberately absent (warm-up is prefetcher-neutral), as are interval
-/// knobs (they only shape measurement, not the warm state).
+/// changes the warm state — target, config, warm-up length — plus the
+/// snapshot format and code versions, hashed into a filename-safe token.
+/// Prefetcher columns are deliberately absent (warm-up is
+/// prefetcher-neutral), as are interval knobs (they only shape
+/// measurement, not the warm state).
 pub fn checkpoint_token(target_key: &str, config: &SystemConfig, plan: &SamplingPlan) -> String {
-    let identity = format!(
-        "ckpt-v{}|{}|{:?}|w{}",
+    let identity = checkpoint_identity(target_key, config, plan);
+    format!("{:016x}", crate::store::fnv1a(identity.as_bytes()))
+}
+
+/// The string [`checkpoint_token`] hashes. The code version is part of it,
+/// as in [`crate::store::cell_fingerprint`]: a build that changes what the
+/// warm-up leaves in the caches or DRAM without changing the byte layout
+/// must not restore an older build's checkpoint.
+fn checkpoint_identity(target_key: &str, config: &SystemConfig, plan: &SamplingPlan) -> String {
+    format!(
+        "ckpt-v{}|code-v{}|{}|{:?}|w{}",
         dspatch_sim::snapshot::FORMAT_VERSION,
+        crate::store::code_version(),
         target_key,
         config,
         plan.warmup_accesses
-    );
-    format!("{:016x}", crate::store::fnv1a(identity.as_bytes()))
+    )
 }
 
 #[cfg(test)]
@@ -507,22 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn estimated_lengths_are_rejected_with_a_spec_error() {
-        let meta = TraceMeta {
-            name: "fuzzy".to_owned(),
-            accesses: dspatch_trace::LengthHint::Estimate(1_000_000),
-            instructions: None,
-        };
-        let err = exact_total_accesses(&meta).unwrap_err();
-        assert!(matches!(err, HarnessError::Spec { .. }), "{err:?}");
-        let exact = TraceMeta {
-            accesses: dspatch_trace::LengthHint::Exact(42),
-            ..meta
-        };
-        assert_eq!(exact_total_accesses(&exact).unwrap(), 42);
-    }
-
-    #[test]
     fn sampled_run_reports_cis_and_shares_warmups() {
         let workload = &suite()[0];
         let config = dspatch_sim::SystemConfig::single_thread();
@@ -571,5 +543,15 @@ mod tests {
             ..plan()
         };
         assert_ne!(token, checkpoint_token("w:a", &config, &longer));
+    }
+
+    #[test]
+    fn checkpoint_identity_includes_the_code_version() {
+        let config = dspatch_sim::SystemConfig::single_thread();
+        let identity = checkpoint_identity("w:a", &config, &plan());
+        let code = format!("|code-v{}|", crate::store::code_version());
+        assert!(identity.contains(&code), "{identity}");
+        let format = format!("ckpt-v{}|", dspatch_sim::snapshot::FORMAT_VERSION);
+        assert!(identity.starts_with(&format), "{identity}");
     }
 }

@@ -209,7 +209,7 @@ impl CacheStats {
 /// power-of-two set count: the tag array is a dense `u64` slab, so a lookup
 /// is one mask, one multiply and a scan of `ways` adjacent 8-byte tags (one
 /// or two cache lines of simulator memory), touching the LRU/metadata
-/// arrays only on a hit. Unoccupied ways hold [`EMPTY_TAG`], which no real
+/// arrays only on a hit. Unoccupied ways hold `EMPTY_TAG`, which no real
 /// line number (a 64-bit byte address shifted right by 6) can equal.
 ///
 /// # Example

@@ -17,7 +17,7 @@
 //! at 8 bytes per slot the memory cost is irrelevant.
 //!
 //! Keys are cache-line numbers (byte address >> 6), which can never equal
-//! the reserved [`EMPTY`] sentinel of `u64::MAX`.
+//! the reserved `EMPTY` sentinel of `u64::MAX`.
 
 /// Reserved key marking an unoccupied slot.
 const EMPTY: u64 = u64::MAX;

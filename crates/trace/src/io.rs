@@ -38,7 +38,7 @@
 //! so callers never dispatch on file extensions.
 
 use crate::record::{Trace, TraceRecord};
-use crate::source::{LengthHint, TraceMeta, TraceSource};
+use crate::source::{TraceMeta, TraceSource};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -400,7 +400,7 @@ impl TraceSource for FileTraceSource {
     fn meta(&self) -> TraceMeta {
         TraceMeta {
             name: self.name.clone(),
-            accesses: LengthHint::Exact(self.record_count),
+            accesses: self.record_count,
             instructions: None,
         }
     }
@@ -564,7 +564,7 @@ impl TraceSource for ChampsimTextSource {
     fn meta(&self) -> TraceMeta {
         TraceMeta {
             name: self.name.clone(),
-            accesses: LengthHint::Exact(self.record_count),
+            accesses: self.record_count,
             instructions: Some(self.instructions),
         }
     }
@@ -740,7 +740,7 @@ mod tests {
         let mut source = FileTraceSource::open(&path).expect("open");
         let meta = source.meta();
         assert_eq!(meta.name, "sample");
-        assert_eq!(meta.accesses, LengthHint::Exact(3));
+        assert_eq!(meta.accesses, 3);
         assert_eq!(collect_source(&mut source), trace);
         assert!(source.next_record().is_none());
         source.reset();
@@ -847,7 +847,7 @@ mod tests {
         .expect("write text trace");
         let mut source = ChampsimTextSource::open(&path).expect("open");
         let meta = source.meta();
-        assert_eq!(meta.accesses, LengthHint::Exact(3));
+        assert_eq!(meta.accesses, 3);
         // 3 accesses + gaps of 5 and 100.
         assert_eq!(meta.instructions, Some(108));
         let collected = collect_source(&mut source);
@@ -895,7 +895,7 @@ mod tests {
         let text_path = temp_path("sniff_text", "champsim.txt");
         std::fs::write(&text_path, "0x400 0x1000 L 2\n").expect("write");
         let source = open_trace_source(&text_path).expect("open text");
-        assert_eq!(source.meta().accesses, LengthHint::Exact(1));
+        assert_eq!(source.meta().accesses, 1);
         std::fs::remove_file(&text_path).ok();
 
         assert!(open_trace_source(temp_path("missing", "nope")).is_err());

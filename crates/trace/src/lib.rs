@@ -47,8 +47,7 @@ pub mod workloads;
 pub use mixes::{heterogeneous_mixes, homogeneous_mixes, WorkloadMix};
 pub use record::{Trace, TraceRecord};
 pub use source::{
-    collect_source, IntoTraceSource, LengthHint, MaterializedSource, SynthSource, TraceMeta,
-    TraceSource,
+    collect_source, IntoTraceSource, MaterializedSource, SynthSource, TraceMeta, TraceSource,
 };
 pub use synth::{
     CodeHeavyGen, GeneratorSpec, IrregularGen, MixedGen, PatternGenerator, PointerChaseGen,

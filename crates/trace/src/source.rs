@@ -9,7 +9,7 @@
 //! ([`MaterializedSource`]), or a file on disk (see [`crate::io`]) — is the
 //! source's business.
 //!
-//! Sources also carry [`TraceMeta`] (name, exact-or-estimated access count,
+//! Sources also carry [`TraceMeta`] (name, exact access count,
 //! instruction count when known) and support cheap [`TraceSource::reset`] /
 //! [`TraceSource::fork`], which is what lets the experiment harness replay
 //! one opened trace under many prefetchers without rereading or
@@ -28,42 +28,19 @@
 //! }
 //! // Bit-identical to the materialized form, without holding the trace.
 //! assert_eq!(pulled, spec.generate_records(7, 1000));
-//! assert_eq!(source.meta().accesses.value(), 1000);
+//! assert_eq!(source.meta().accesses, 1000);
 //! ```
 
 use crate::record::{Trace, TraceRecord};
 use crate::synth::{GeneratorSpec, PatternGenerator, RecordStream};
-
-/// How well a source knows its own length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LengthHint {
-    /// The source will produce exactly this many records.
-    Exact(u64),
-    /// Best-effort estimate (e.g. derived from a file size).
-    Estimate(u64),
-}
-
-impl LengthHint {
-    /// The hinted record count, exact or estimated.
-    pub fn value(&self) -> u64 {
-        match self {
-            LengthHint::Exact(n) | LengthHint::Estimate(n) => *n,
-        }
-    }
-
-    /// Whether the hint is exact.
-    pub fn is_exact(&self) -> bool {
-        matches!(self, LengthHint::Exact(_))
-    }
-}
 
 /// Metadata a [`TraceSource`] carries alongside its record stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceMeta {
     /// Human-readable workload name.
     pub name: String,
-    /// Number of memory accesses the source will produce.
-    pub accesses: LengthHint,
+    /// Exact number of memory accesses the source will produce.
+    pub accesses: u64,
     /// Total instructions (memory accesses plus gaps) when known without
     /// consuming the source.
     pub instructions: Option<u64>,
@@ -122,10 +99,7 @@ impl IntoTraceSource for Box<dyn TraceSource> {
 /// random access; simulation paths should consume the source directly).
 pub fn collect_source(source: &mut dyn TraceSource) -> Trace {
     let meta = source.meta();
-    let mut records = Vec::new();
-    if meta.accesses.is_exact() {
-        records.reserve(meta.accesses.value() as usize);
-    }
+    let mut records = Vec::with_capacity(meta.accesses as usize);
     while let Some(record) = source.next_record() {
         records.push(record);
     }
@@ -182,7 +156,7 @@ impl TraceSource for MaterializedSource {
     fn meta(&self) -> TraceMeta {
         TraceMeta {
             name: self.trace.name.clone(),
-            accesses: LengthHint::Exact(self.trace.len() as u64),
+            accesses: self.trace.len() as u64,
             instructions: Some(self.instructions),
         }
     }
@@ -253,7 +227,7 @@ impl TraceSource for SynthSource {
     fn meta(&self) -> TraceMeta {
         TraceMeta {
             name: self.name.clone(),
-            accesses: LengthHint::Exact(self.len),
+            accesses: self.len,
             instructions: None,
         }
     }
@@ -308,7 +282,7 @@ mod tests {
         let mut source = MaterializedSource::new(trace.clone());
         let meta = source.meta();
         assert_eq!(meta.name, "m");
-        assert_eq!(meta.accesses, LengthHint::Exact(120));
+        assert_eq!(meta.accesses, 120);
         assert_eq!(meta.instructions, Some(expected_instructions));
         assert_eq!(collect_source(&mut source), trace);
         source.reset();
@@ -320,13 +294,5 @@ mod tests {
         let trace = Trace::new("adapter", spec().generate_records(5, 80));
         let mut source = trace.clone().into_trace_source();
         assert_eq!(collect_source(source.as_mut()), trace);
-    }
-
-    #[test]
-    fn length_hint_reports_exactness() {
-        assert!(LengthHint::Exact(5).is_exact());
-        assert!(!LengthHint::Estimate(5).is_exact());
-        assert_eq!(LengthHint::Exact(5).value(), 5);
-        assert_eq!(LengthHint::Estimate(7).value(), 7);
     }
 }

@@ -33,7 +33,7 @@ fn main() {
         "replaying '{}' from {} ({} accesses)\n",
         meta.name,
         path.display(),
-        meta.accesses.value()
+        meta.accesses
     );
 
     let run = |kind: PrefetcherKind| {

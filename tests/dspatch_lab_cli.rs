@@ -73,17 +73,16 @@ fn dspatch_lab_fails(args: &[&str]) -> (i32, String) {
 
 #[test]
 fn misplaced_flags_are_usage_errors_not_silently_ignored() {
-    // Campaign-only flags without a campaign used to be dropped on the
-    // floor; each must now exit 2 with a usage message.
+    // Without a campaign the store would be silently ignored, so it exits
+    // 2 with a usage message.
     for args in [
-        &["--figure", "table1", "--retries", "2"] as &[&str],
-        &["--figure", "table1", "--store", "store-dir"],
-        &["--list", "--retries", "2"],
+        &["--figure", "table1", "--store", "store-dir"] as &[&str],
+        &["--list", "--store", "store-dir"],
     ] {
         let (code, stderr) = dspatch_lab_fails(args);
         assert_eq!(code, 2, "dspatch-lab {args:?}: {stderr}");
         assert!(
-            stderr.contains("only apply to --spec campaigns"),
+            stderr.contains("--store only applies to --spec campaigns"),
             "dspatch-lab {args:?}: {stderr}"
         );
     }
@@ -135,9 +134,14 @@ fn removed_multi_core_worker_knobs_fail_loudly() {
 
 #[test]
 fn removed_resume_flags_are_unknown_arguments() {
-    // A killed campaign resumes by re-running it with the same --store.
-    for flag in ["--journal", "--resume"] {
-        let (code, stderr) = dspatch_lab_fails(&["--figure", "table1", flag, "run.jsonl"]);
+    // A killed campaign resumes by re-running it with the same --store, and
+    // a cell runs once, so there is nothing to retry.
+    for (flag, value) in [
+        ("--journal", "run.jsonl"),
+        ("--resume", "run.jsonl"),
+        ("--retries", "2"),
+    ] {
+        let (code, stderr) = dspatch_lab_fails(&["--figure", "table1", flag, value]);
         assert_eq!(code, 2, "{flag}: {stderr}");
         assert!(
             stderr.contains(&format!("unknown argument: {flag}")),

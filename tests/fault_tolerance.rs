@@ -1,21 +1,21 @@
-//! Fault-tolerance integration tests: per-job isolation and quarantine,
-//! bounded deterministic retry, and kill-and-resume parity through the
-//! crash-safe result store — a campaign interrupted mid-flight and re-run
-//! against the same store must produce **bit-identical** output (rows,
-//! sims, rendered JSON/CSV, and the spec-deterministic executor stats) to
-//! an uninterrupted run.
+//! Fault-tolerance integration tests: per-job isolation and quarantine of a
+//! panicking cell (each cell runs once), and kill-and-resume parity through
+//! the crash-safe result store — a campaign interrupted mid-flight and
+//! re-run against the same store must produce **bit-identical** output
+//! (rows, sims, rendered JSON/CSV, and the spec-deterministic executor
+//! stats) to an uninterrupted run.
 //!
-//! All faults are injected through the deterministic
+//! Panics are injected through the deterministic
 //! `dspatch_harness::faults::FaultPlan` harness, so every failure fires at
 //! a fixed, reproducible point.
 
 use dspatch_harness::campaign::{
     run_campaign, run_campaign_with, CampaignResult, CampaignSpec, CellSpec, ConfigSpec,
-    ExecOptions, PrefetcherSel, RetryPolicy, TargetSelector,
+    ExecOptions, PrefetcherSel, TargetSelector,
 };
 use dspatch_harness::runner::{PrefetcherKind, RunScale};
 use dspatch_harness::store::STORE_FILE;
-use dspatch_harness::{Fault, FaultPlan, HarnessError, ResultStore};
+use dspatch_harness::{FaultPlan, HarnessError, Json, ResultStore};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -67,14 +67,6 @@ fn with_store(dir: &Path) -> ExecOptions {
     }
 }
 
-/// Fast retries so transient-fault tests don't sleep for real.
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        attempts: 2,
-        backoff_ms: 1,
-    }
-}
-
 /// Every observable output a user can diff: rendered table, JSON document,
 /// CSV, plus the raw rows/sims (SimResult is PartialEq, so this is
 /// bit-level for every counter) and the spec-deterministic stats.
@@ -99,12 +91,7 @@ fn a_panicking_cell_is_quarantined_without_sinking_the_campaign() {
     let target = reference.rows[0].target.clone();
 
     let opts = ExecOptions {
-        retry: fast_retry(),
-        faults: Some(FaultPlan::new().poison(
-            target.clone(),
-            PrefetcherKind::Spp.label(),
-            Fault::Panic,
-        )),
+        faults: Some(FaultPlan::new().poison(target.clone(), PrefetcherKind::Spp.label())),
         ..ExecOptions::default()
     };
     let result = run_campaign_with(&spec, &scale, &opts).expect("campaign must complete");
@@ -116,16 +103,12 @@ fn a_panicking_cell_is_quarantined_without_sinking_the_campaign() {
     let failure = &result.failures[0];
     assert_eq!(failure.target, target);
     assert_eq!(failure.prefetcher, PrefetcherKind::Spp.label());
-    assert_eq!(failure.attempts, 2, "1 initial + 1 retry");
     match &failure.error {
-        HarnessError::Quarantined { attempts, last, .. } => {
-            assert_eq!(*attempts, 2);
-            assert!(
-                matches!(**last, HarnessError::CellPanic { .. }),
-                "got {last:?}"
-            );
+        HarnessError::CellPanic { job, message } => {
+            assert_eq!(job, &failure.key);
+            assert_eq!(message, "injected panic");
         }
-        other => panic!("expected Quarantined, got {other:?}"),
+        other => panic!("expected CellPanic, got {other:?}"),
     }
     assert_eq!(result.rows.len(), reference.rows.len() - 1);
     assert!(!result
@@ -144,13 +127,27 @@ fn a_panicking_cell_is_quarantined_without_sinking_the_campaign() {
             reference.speedup(reference_row).map(f64::to_bits)
         );
     }
-    // The quarantine is visible in the JSON document.
+    // The quarantine is visible in the JSON document: one entry with the
+    // cell's coordinates and its classified error, nothing else.
     let json = result.to_json();
     let failures = json
         .get("failures")
-        .and_then(dspatch_harness::Json::as_arr)
+        .and_then(Json::as_arr)
         .expect("failures array present");
     assert_eq!(failures.len(), 1);
+    let keys: Vec<&str> = failures[0]
+        .as_obj()
+        .expect("failure entry is an object")
+        .iter()
+        .map(|(key, _)| key.as_str())
+        .collect();
+    assert_eq!(keys, ["target", "prefetcher", "config", "error"]);
+    let error = failures[0].get("error").expect("error present");
+    assert_eq!(error.get("class").and_then(Json::as_str), Some("cell"));
+    assert_eq!(
+        error.get("message").and_then(Json::as_str),
+        Some(format!("cell {} panicked: injected panic", failure.key).as_str())
+    );
 }
 
 #[test]
@@ -159,21 +156,13 @@ fn a_quarantined_baseline_keeps_the_rows_without_speedups() {
     let scale = tiny();
     let target = dspatch_trace::suite()[0].name.clone();
     let opts = ExecOptions {
-        retry: fast_retry(),
-        faults: Some(FaultPlan::new().poison(
-            target.clone(),
-            PrefetcherKind::Baseline.label(),
-            Fault::Io,
-        )),
+        faults: Some(FaultPlan::new().poison(target.clone(), PrefetcherKind::Baseline.label())),
         ..ExecOptions::default()
     };
     let result = run_campaign_with(&spec, &scale, &opts).expect("campaign must complete");
     assert_eq!(result.failures.len(), 1);
     assert!(
-        matches!(
-            &result.failures[0].error,
-            HarnessError::Quarantined { last, .. } if matches!(**last, HarnessError::CellIo { .. })
-        ),
+        matches!(&result.failures[0].error, HarnessError::CellPanic { .. }),
         "got {:?}",
         result.failures[0].error
     );
@@ -185,47 +174,6 @@ fn a_quarantined_baseline_keeps_the_rows_without_speedups() {
         assert!(row.baseline.is_none());
         assert!(result.speedup(row).is_none());
     }
-}
-
-#[test]
-fn transient_faults_retry_and_converge_to_the_clean_result() {
-    let spec = spec();
-    let scale = tiny();
-    let reference = run_campaign(&spec, &scale).expect("clean run");
-    let target = reference.rows[0].target.clone();
-
-    for fault in [
-        Fault::TransientPanic { failures: 1 },
-        Fault::TransientIo { failures: 1 },
-    ] {
-        let opts = ExecOptions {
-            retry: fast_retry(),
-            faults: Some(FaultPlan::new().poison(
-                target.clone(),
-                PrefetcherKind::Bop.label(),
-                fault,
-            )),
-            ..ExecOptions::default()
-        };
-        let result = run_campaign_with(&spec, &scale, &opts).expect("campaign must complete");
-        assert!(result.failures.is_empty(), "{fault:?} must recover");
-        assert!(result.stats.retries >= 1, "{fault:?} must consume a retry");
-        assert_bit_identical(&result, &reference);
-    }
-
-    // One failure more than the budget: quarantined after both attempts.
-    let opts = ExecOptions {
-        retry: fast_retry(),
-        faults: Some(FaultPlan::new().poison(
-            target,
-            PrefetcherKind::Bop.label(),
-            Fault::TransientPanic { failures: 2 },
-        )),
-        ..ExecOptions::default()
-    };
-    let result = run_campaign_with(&spec, &scale, &opts).expect("campaign must complete");
-    assert_eq!(result.failures.len(), 1);
-    assert_eq!(result.failures[0].attempts, 2);
 }
 
 #[test]
@@ -267,16 +215,10 @@ fn a_mid_campaign_panic_resumes_into_the_clean_result() {
     let target = reference.rows[0].target.clone();
     let dir = temp_store("panic_resume");
 
-    // First run: one cell poisoned to panic every attempt. The campaign
-    // completes with that cell quarantined; the store holds every *other*
-    // cell.
+    // First run: one cell poisoned to panic. The campaign completes with
+    // that cell quarantined; the store holds every *other* cell.
     let opts = ExecOptions {
-        retry: fast_retry(),
-        faults: Some(FaultPlan::new().poison(
-            target.clone(),
-            PrefetcherKind::Spp.label(),
-            Fault::Panic,
-        )),
+        faults: Some(FaultPlan::new().poison(target.clone(), PrefetcherKind::Spp.label())),
         ..with_store(&dir)
     };
     let faulted = run_campaign_with(&spec, &scale, &opts).expect("faulted run completes");

@@ -311,7 +311,7 @@ proptest! {
         mutation in 0u8..4,
     ) {
         use dspatch_trace::io::{open_trace_source, read_trace, write_trace, FileTraceSource};
-        use dspatch_trace::{LengthHint, Trace, TraceRecord, TraceSource};
+        use dspatch_trace::{Trace, TraceRecord, TraceSource};
 
         let records: Vec<TraceRecord> = raw
             .into_iter()
@@ -347,10 +347,7 @@ proptest! {
         // Ok at open time must mean the whole stream is replayable: the
         // openers promise "validated once, never fails mid-run".
         if let Ok(mut source) = FileTraceSource::open(&path) {
-            let promised = match source.meta().accesses {
-                LengthHint::Exact(n) => n,
-                other => return Err(TestCaseError::fail(format!("binary source hint {other:?}"))),
-            };
+            let promised = source.meta().accesses;
             let mut drained = 0u64;
             while source.next_record().is_some() {
                 drained += 1;
@@ -362,9 +359,7 @@ proptest! {
             while source.next_record().is_some() {
                 drained += 1;
             }
-            if let LengthHint::Exact(promised) = source.meta().accesses {
-                prop_assert_eq!(drained, promised);
-            }
+            prop_assert_eq!(drained, source.meta().accesses);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -404,7 +399,7 @@ proptest! {
         ),
     ) {
         use dspatch_trace::io::ChampsimTextSource;
-        use dspatch_trace::{LengthHint, TraceFileError, TraceSource};
+        use dspatch_trace::{TraceFileError, TraceSource};
 
         let path = std::env::temp_dir().join(format!(
             "dspatch_fuzz_text_{}.trace",
@@ -414,12 +409,7 @@ proptest! {
         std::fs::write(&path, text).expect("temp file");
         match ChampsimTextSource::open(&path) {
             Ok(mut source) => {
-                let promised = match source.meta().accesses {
-                    LengthHint::Exact(n) => n,
-                    other => {
-                        return Err(TestCaseError::fail(format!("text source hint {other:?}")))
-                    }
-                };
+                let promised = source.meta().accesses;
                 let mut drained = 0u64;
                 while source.next_record().is_some() {
                     drained += 1;
