@@ -378,7 +378,6 @@ fn parse_filter(expr: &str) -> Result<Filter, HarnessError> {
 pub struct ColumnarView {
     identity: Vec<(Field, Vec<String>)>,
     scale: Vec<u64>,
-    legacy: Vec<bool>,
     metrics: Vec<(String, Vec<f64>)>,
     rows: usize,
 }
@@ -396,7 +395,7 @@ impl ColumnarView {
     pub fn from_rows(mut rows: Vec<ResultRow>) -> Self {
         rows.sort_by_key(canonical_key);
         let baseline_of = |row: &ResultRow| -> Option<usize> {
-            if row.is_legacy() || row.prefetcher == "Baseline" {
+            if row.prefetcher == "Baseline" {
                 return None;
             }
             rows.iter().position(|candidate| {
@@ -424,7 +423,6 @@ impl ColumnarView {
                 .map(|&field| (field, Vec::with_capacity(rows.len())))
                 .collect(),
             scale: Vec::with_capacity(rows.len()),
-            legacy: Vec::with_capacity(rows.len()),
             metrics: Vec::new(),
             rows: rows.len(),
         };
@@ -442,7 +440,6 @@ impl ColumnarView {
                 column.push(field.of(row));
             }
             view.scale.push(row.scale);
-            view.legacy.push(row.is_legacy());
             let accounting = row.result.total_accounting();
             ipc.1.push(mean_ipc(&row.result));
             speedup.1.push(speedups[index]);
@@ -523,23 +520,18 @@ impl ColumnarView {
     }
 
     /// "Newest code_version wins": keeps, per cell identity, only rows of
-    /// that identity's newest version. Legacy rows (identity unknown)
-    /// compete only with themselves.
+    /// that identity's newest version.
     fn newest_versions(&self, selected: &[usize]) -> Vec<usize> {
         let versions = self.field_column(Field::CodeVersion);
         let identity = |index: usize| -> String {
-            if self.legacy[index] {
-                format!("legacy|{}", self.field_column(Field::Fingerprint)[index])
-            } else {
-                format!(
-                    "{}|{}|{}|{}|{}",
-                    self.field_column(Field::Workload)[index],
-                    self.field_column(Field::Prefetcher)[index],
-                    self.field_column(Field::Config)[index],
-                    self.scale[index],
-                    self.field_column(Field::Sampling)[index],
-                )
-            }
+            format!(
+                "{}|{}|{}|{}|{}",
+                self.field_column(Field::Workload)[index],
+                self.field_column(Field::Prefetcher)[index],
+                self.field_column(Field::Config)[index],
+                self.scale[index],
+                self.field_column(Field::Sampling)[index],
+            )
         };
         let mut newest: std::collections::HashMap<String, &str> = std::collections::HashMap::new();
         for &index in selected {

@@ -83,11 +83,13 @@ pub enum HarnessError {
         message: String,
     },
     /// A persisted file whose header names a different file kind or an
-    /// unsupported format version; it is never silently overwritten.
+    /// unsupported format version, or that holds a record of an unsupported
+    /// schema; it is never silently overwritten.
     Mismatch {
         /// The offending file.
         path: String,
-        /// The differing header field (`"store"`, `"version"`).
+        /// The differing field: the header's `"store"` or `"version"`, or a
+        /// record's `"schema"`.
         field: &'static str,
         /// The value this program expects.
         expected: String,

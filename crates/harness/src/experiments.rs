@@ -194,15 +194,6 @@ impl BandwidthScaling {
         }
         table
     }
-
-    /// Delta of `kind` at the lowest- and highest-bandwidth points, used to
-    /// check scaling trends.
-    pub fn scaling_of(&self, kind: PrefetcherKind) -> Option<(f64, f64)> {
-        let first = self.points.first()?;
-        let last = self.points.last()?;
-        let pick = |p: &BandwidthPoint| p.deltas.iter().find(|(k, _)| *k == kind).map(|(_, d)| *d);
-        Some((pick(first)?, pick(last)?))
-    }
 }
 
 /// One cell per DRAM configuration over the memory-intensive subset. The
@@ -565,17 +556,6 @@ impl CoverageReport {
         }
         table
     }
-
-    /// Average (coverage, misprediction) fractions of one prefetcher kind.
-    pub fn average_of(&self, kind: PrefetcherKind) -> Option<(f64, f64)> {
-        let rows: Vec<_> = self.rows.iter().filter(|(_, k, ..)| *k == kind).collect();
-        if rows.is_empty() {
-            return None;
-        }
-        let coverage = rows.iter().map(|(_, _, c, ..)| *c).sum::<f64>() / rows.len() as f64;
-        let mispredictions = rows.iter().map(|(.., m)| *m).sum::<f64>() / rows.len() as f64;
-        Some((coverage, mispredictions))
-    }
 }
 
 /// Figure 16: coverage and misprediction fractions per category for the
@@ -919,7 +899,7 @@ pub fn table3_prefetcher_storage() -> Table {
         PrefetcherKind::SmsIso,
         PrefetcherKind::Sms,
     ] {
-        let kb = kind.build().storage_bits() as f64 / 8.0 / 1024.0;
+        let kb = kind.build_any().storage_bits() as f64 / 8.0 / 1024.0;
         table.add_row(vec![kind.label().to_owned(), format!("{kb:.1}")]);
     }
     table

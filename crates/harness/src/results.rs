@@ -6,19 +6,16 @@
 //! the content-addressed store and the analytics layer share. It spells
 //! the cell identity out as typed fields (the exact components of
 //! [`crate::store::cell_fingerprint_sampled`], which remains the content
-//! address), carries the full exactly-serialized [`SimResult`], and tags
-//! itself with a schema version so on-disk formats can evolve without a
-//! flag day: legacy (schema 1) `{"cell": ...}` store records upgrade on
-//! read into rows with empty identity fields, and everything written from
-//! now on is a schema-2 row.
+//! address), carries the full exactly-serialized [`SimResult`], and is
+//! encoded with a `"schema": 2` tag. A row of any other schema is refused
+//! by the store rather than read.
 //!
 //! The `SimResult` round-trip is exact: `u64` counters encode as JSON
 //! numbers below 2^53 and as decimal strings above, `f64` fields rely on
 //! the emitter's shortest-round-trip rendering, and the optional
 //! `sampling` block is absent (never `null`) on exact runs — so a row
-//! parsed from a legacy file re-renders its `result` sub-object
-//! byte-identically (`tests/schema_upgrade.rs` proves it against committed
-//! fixtures).
+//! parsed from a store file re-renders byte-identically
+//! (`tests/schema_upgrade.rs` proves it against a committed fixture).
 
 use crate::json::Json;
 use dspatch_sim::stats::{IntervalEstimate, SamplingStats};
@@ -27,19 +24,13 @@ use dspatch_sim::{
     SimResult,
 };
 
-/// Schema version stamped on every row written from now on.
+/// Schema version stamped on every row, and the only one read back.
 pub const SCHEMA_VERSION: u64 = 2;
-/// Schema tag given to rows upgraded from pre-schema files (identity
-/// fields unknown, so they are empty).
-pub const LEGACY_SCHEMA: u64 = 1;
 
 /// One simulated cell: the spelled-out fingerprint identity plus the full
 /// statistics, in the single canonical JSON encoding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultRow {
-    /// Schema version of the record this row was read from (or
-    /// [`SCHEMA_VERSION`] for freshly built rows).
-    pub schema: u64,
     /// Content address ([`crate::store::cell_fingerprint_sampled`]),
     /// 16 hex digits.
     pub fingerprint: String,
@@ -80,7 +71,6 @@ impl ResultRow {
         result: SimResult,
     ) -> Self {
         Self {
-            schema: SCHEMA_VERSION,
             fingerprint,
             figure,
             workload,
@@ -93,34 +83,11 @@ impl ResultRow {
         }
     }
 
-    /// Upgrades a pre-schema record (fingerprint + result, identity
-    /// unknown) into a row. The empty identity fields make the upgrade
-    /// visible to queries instead of inventing values.
-    pub fn legacy(fingerprint: String, result: SimResult) -> Self {
-        Self {
-            schema: LEGACY_SCHEMA,
-            fingerprint,
-            figure: String::new(),
-            workload: String::new(),
-            prefetcher: String::new(),
-            config: String::new(),
-            scale: 0,
-            sampling: String::new(),
-            code_version: String::new(),
-            result,
-        }
-    }
-
-    /// Whether this row was upgraded from a pre-schema record.
-    pub fn is_legacy(&self) -> bool {
-        self.schema < SCHEMA_VERSION
-    }
-
     /// The canonical JSON encoding: one object, fixed key order, with the
     /// exactly-serialized result as its last field.
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("schema", json_u64(self.schema)),
+            ("schema", json_u64(SCHEMA_VERSION)),
             ("fingerprint", Json::str(&self.fingerprint)),
             ("figure", Json::str(&self.figure)),
             ("workload", Json::str(&self.workload)),
@@ -138,10 +105,16 @@ impl ResultRow {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first missing or mistyped field.
+    /// Returns a message naming the first missing or mistyped field, or a
+    /// schema other than [`SCHEMA_VERSION`].
     pub fn from_json(json: &Json) -> Result<Self, String> {
+        let schema = get_u64(json, "schema", "result row")?;
+        if schema != SCHEMA_VERSION {
+            return Err(format!(
+                "result row: schema {schema} is not the supported {SCHEMA_VERSION}"
+            ));
+        }
         Ok(Self {
-            schema: get_u64(json, "schema", "result row")?,
             fingerprint: get_str(json, "fingerprint", "result row")?.to_owned(),
             figure: get_str(json, "figure", "result row")?.to_owned(),
             workload: get_str(json, "workload", "result row")?.to_owned(),
@@ -546,24 +519,10 @@ mod tests {
             String::new(),
             sample_sim(),
         );
-        assert_eq!(row.schema, SCHEMA_VERSION);
-        assert!(!row.is_legacy());
         assert_eq!(row.code_version, crate::store::code_version());
         let reparsed = Json::parse(&row.to_json().render_compact()).expect("valid JSON");
         let back = ResultRow::from_json(&reparsed).expect("parses back");
         assert_eq!(back, row);
-    }
-
-    #[test]
-    fn legacy_rows_carry_empty_identity_and_say_so() {
-        let row = ResultRow::legacy("0123456789abcdef".to_owned(), sample_sim());
-        assert!(row.is_legacy());
-        assert_eq!(row.schema, LEGACY_SCHEMA);
-        assert!(row.figure.is_empty() && row.code_version.is_empty());
-        // Legacy rows still round-trip the canonical encoding: once
-        // rewritten (e.g. by `store gc`) they stay schema-1 tagged.
-        let reparsed = Json::parse(&row.to_json().render_compact()).expect("valid JSON");
-        assert_eq!(ResultRow::from_json(&reparsed).expect("parses back"), row);
     }
 
     #[test]

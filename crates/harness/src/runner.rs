@@ -9,7 +9,6 @@ use dspatch_prefetchers::{
 };
 use dspatch_sim::{SimResult, SimulationBuilder, SystemConfig};
 use dspatch_trace::{WorkloadMix, WorkloadSpec};
-use dspatch_types::Prefetcher;
 
 /// The prefetchers the paper's figures compare. Each variant builds a fresh
 /// prefetcher instance for one simulated core.
@@ -69,19 +68,9 @@ impl PrefetcherKind {
         }
     }
 
-    /// Builds a fresh prefetcher instance of this kind behind the dynamic
-    /// `dyn Prefetcher` interface (the escape-hatch form; simulations built
-    /// from the registry use [`PrefetcherKind::build_any`] instead).
-    ///
-    /// Delegates to [`PrefetcherKind::build_any`] so the registry has
-    /// exactly one construction table — the two forms cannot drift apart.
-    pub fn build(self) -> Box<dyn Prefetcher> {
-        Box::new(self.build_any())
-    }
-
     /// Builds a fresh prefetcher instance of this kind as a statically
-    /// dispatched [`AnyPrefetcher`] — the form every registry-driven
-    /// simulation uses, so the per-access hot path never crosses a vtable.
+    /// dispatched [`AnyPrefetcher`], so the per-access hot path never
+    /// crosses a vtable.
     pub fn build_any(self) -> AnyPrefetcher {
         match self {
             PrefetcherKind::Baseline => dspatch_types::NullPrefetcher::new().into(),
@@ -345,18 +334,13 @@ pub fn geomean(values: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use dspatch_trace::workloads::suite;
+    use dspatch_types::Prefetcher;
 
     #[test]
     fn every_kind_builds_a_prefetcher_and_parses_back() {
         for kind in PrefetcherKind::ALL {
-            let prefetcher = kind.build();
             assert!(!kind.label().is_empty());
-            assert!(!prefetcher.name().is_empty());
-            assert_eq!(
-                kind.build_any().name(),
-                prefetcher.name(),
-                "static and boxed forms must agree on identity"
-            );
+            assert!(!kind.build_any().name().is_empty());
             assert_eq!(PrefetcherKind::parse(kind.spec_name()), Some(kind));
             assert_eq!(PrefetcherKind::parse(kind.label()), Some(kind));
         }

@@ -12,11 +12,11 @@
 //! crash-safe: one flushed JSON line per record, a torn final line silently
 //! truncated on open, mid-file damage a typed [`HarnessError::Corrupt`].
 //!
-//! Since format version 2 each record is a canonical
-//! [`ResultRow`] (`{"row": {...}}`) carrying the fingerprint identity
-//! spelled out as typed fields — which is what the [`crate::analytics`]
-//! layer queries. Version-1 records (`{"cell": {"fingerprint", "result"}}`)
-//! still parse, upgrading into legacy-tagged rows with empty identity.
+//! Each record is a canonical schema-2 [`ResultRow`] (`{"row": {...}}`)
+//! carrying the fingerprint identity spelled out as typed fields, which is
+//! what the [`crate::analytics`] layer queries. A store of an older format
+//! version, or a row of another schema, is refused with
+//! [`HarnessError::Mismatch`] and left untouched on disk.
 //!
 //! The fingerprint deliberately *includes* the [`code_version`]: a simulator
 //! change invalidates old results by changing the key, never by rewriting
@@ -25,7 +25,7 @@
 
 use crate::error::HarnessError;
 use crate::json::Json;
-use crate::results::{sim_result_from_json, ResultRow};
+use crate::results::{ResultRow, SCHEMA_VERSION};
 use crate::runner::RunScale;
 use dspatch_sim::{SimResult, SystemConfig};
 use std::collections::HashMap;
@@ -34,10 +34,9 @@ use std::path::{Path, PathBuf};
 
 /// Magic value of the meta line's `store` field.
 const STORE_MAGIC: &str = "dspatch-result-store";
-/// Store format version (records are canonical [`ResultRow`]s).
+/// Store format version (records are canonical [`ResultRow`]s), the only
+/// one read.
 const STORE_VERSION: u64 = 2;
-/// Oldest store version still readable (bare `cell` records).
-const STORE_MIN_VERSION: u64 = 1;
 /// File name inside the store directory.
 pub const STORE_FILE: &str = "results.jsonl";
 
@@ -56,7 +55,7 @@ pub fn code_version() -> &'static str {
 
 /// Orders version strings by their dotted numeric segments (`0.10.0` after
 /// `0.9.1`), falling back to byte order for non-numeric segments. The empty
-/// string — a legacy row's unknown version — sorts before everything.
+/// string sorts before everything.
 pub fn compare_versions(a: &str, b: &str) -> std::cmp::Ordering {
     let mut left = a.split('.');
     let mut right = b.split('.');
@@ -179,7 +178,8 @@ impl ResultStore {
     /// * [`HarnessError::Io`] — the directory or file cannot be created,
     ///   read, or truncated.
     /// * [`HarnessError::Mismatch`] — the file exists but carries a foreign
-    ///   magic or an unsupported version (never silently overwritten).
+    ///   magic, an unsupported version, or a row of another schema (never
+    ///   silently overwritten).
     /// * [`HarnessError::Corrupt`] — a record before the final line is
     ///   unparsable or structurally invalid.
     pub fn open(dir: &Path) -> Result<Self, HarnessError> {
@@ -335,9 +335,6 @@ impl ResultStore {
     /// Compacts the store: rewrites `results.jsonl` keeping, for each cell
     /// identity (workload, prefetcher, config, scale, sampling), only the
     /// rows belonging to the newest `keep_versions` distinct code versions.
-    /// Legacy rows (schema 1, identity unknown) are grouped by fingerprint
-    /// alone, so any positive `keep_versions` keeps them — gc never throws
-    /// away data it cannot attribute.
     ///
     /// The rewrite is crash-safe: rows are written to `results.jsonl.tmp`
     /// (meta line first, rows in canonical identity order) and the file is
@@ -428,14 +425,10 @@ impl ResultStore {
 
 /// The identity group a row competes in during [`ResultStore::gc`].
 fn gc_group_key(row: &ResultRow) -> String {
-    if row.is_legacy() {
-        format!("legacy|{}", row.fingerprint)
-    } else {
-        format!(
-            "{}|{}|{}|{}|{}",
-            row.workload, row.prefetcher, row.config, row.scale, row.sampling
-        )
-    }
+    format!(
+        "{}|{}|{}|{}|{}",
+        row.workload, row.prefetcher, row.config, row.scale, row.sampling
+    )
 }
 
 /// Canonical sort key for the gc rewrite (and deterministic re-query).
@@ -473,7 +466,7 @@ fn parse_store_line(text: &str, line_no: u64, display: &str) -> Result<StoreReco
             });
         }
         let version = json.get("version").and_then(Json::as_u64).unwrap_or(0);
-        if !(STORE_MIN_VERSION..=STORE_VERSION).contains(&version) {
+        if version != STORE_VERSION {
             return Err(HarnessError::Mismatch {
                 path: display.to_owned(),
                 field: "version",
@@ -483,29 +476,23 @@ fn parse_store_line(text: &str, line_no: u64, display: &str) -> Result<StoreReco
         }
         return Ok(StoreRecord::Meta);
     }
-    // Version 2: a canonical row. Accepted regardless of the meta line's
-    // version so a v1 store appended to by v2 code stays readable.
-    if let Some(row) = json.get("row") {
-        let row = ResultRow::from_json(row).map_err(corrupt)?;
-        return Ok(StoreRecord::Row(Box::new(row)));
-    }
-    // Version 1: fingerprint + bare result, upgraded to a legacy row.
-    let cell = json
-        .get("cell")
+    let row = json
+        .get("row")
         .ok_or_else(|| corrupt(format!("unknown record shape: {text}")))?;
-    let fingerprint = cell
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .ok_or_else(|| corrupt("cell record missing string 'fingerprint'".to_owned()))?
-        .to_owned();
-    let result = cell
-        .get("result")
-        .ok_or_else(|| corrupt("cell record missing 'result'".to_owned()))
-        .and_then(|result| sim_result_from_json(result).map_err(corrupt))?;
-    Ok(StoreRecord::Row(Box::new(ResultRow::legacy(
-        fingerprint,
-        result,
-    ))))
+    // A complete row of another schema is an unsupported format, not a torn
+    // append: a typed mismatch keeps `replay` from truncating it away.
+    if let Some(schema) = row.get("schema").and_then(Json::as_u64) {
+        if schema != SCHEMA_VERSION {
+            return Err(HarnessError::Mismatch {
+                path: display.to_owned(),
+                field: "schema",
+                expected: SCHEMA_VERSION.to_string(),
+                found: schema.to_string(),
+            });
+        }
+    }
+    let row = ResultRow::from_json(row).map_err(corrupt)?;
+    Ok(StoreRecord::Row(Box::new(row)))
 }
 
 #[cfg(test)]
@@ -730,7 +717,7 @@ mod tests {
         {
             let mut store = ResultStore::open(&dir).expect("open");
             // Same identity under three code versions, plus a second cell
-            // with one version and a legacy row.
+            // with one version.
             store
                 .insert(&row_for("fp-old", "a", "SPP", "0.0.8"))
                 .expect("a old");
@@ -743,32 +730,28 @@ mod tests {
             store
                 .insert(&row_for("fp-b", "b", "SPP", "0.1.0"))
                 .expect("b");
-            store
-                .insert(&ResultRow::legacy("fp-legacy".to_owned(), tiny_sim()))
-                .expect("legacy");
-            assert_eq!(store.len(), 5);
+            assert_eq!(store.len(), 4);
 
             let stats = store.gc(2).expect("gc");
             assert_eq!(
                 stats,
                 GcStats {
-                    kept: 4,
+                    kept: 3,
                     dropped: 1
                 }
             );
-            assert_eq!(store.len(), 4);
+            assert_eq!(store.len(), 3);
             assert!(store.get("fp-old").is_none(), "0.0.8 is superseded");
             assert!(store.get("fp-mid").is_some());
             assert!(store.get("fp-new").is_some());
             assert!(store.get("fp-b").is_some());
-            assert!(store.get("fp-legacy").is_some(), "legacy rows survive gc");
 
             // Idempotent: a second pass with the same policy drops nothing.
             let stats = store.gc(2).expect("gc again");
             assert_eq!(
                 stats,
                 GcStats {
-                    kept: 4,
+                    kept: 3,
                     dropped: 0
                 }
             );
@@ -779,7 +762,7 @@ mod tests {
                 .expect("append after gc");
         }
         let store = ResultStore::open(&dir).expect("reopen");
-        assert_eq!(store.len(), 5);
+        assert_eq!(store.len(), 4);
         assert!(store.get("fp-c").is_some());
         std::fs::remove_dir_all(&dir).ok();
     }

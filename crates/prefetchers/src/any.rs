@@ -7,16 +7,12 @@
 //! concrete prefetcher type is known at the match arm, so the per-access
 //! train-predict-issue path inlines into the machine's demand loop.
 //!
-//! The enum covers every configuration the experiment registry constructs —
-//! the seven baseline prefetchers, DSPatch, and the adjunct composites the
-//! paper evaluates — and keeps [`AnyPrefetcher::Boxed`] as an escape hatch so
-//! user-supplied `Box<dyn Prefetcher>` implementations (and every existing
-//! call site) keep working unchanged.
+//! The enum covers every configuration the experiment registry constructs:
+//! the baseline prefetchers, DSPatch, and the adjunct composites the paper
+//! evaluates.
 
 use crate::composite::AdjunctPrefetcher;
-use crate::{
-    AmpmPrefetcher, BopPrefetcher, SmsPrefetcher, SppPrefetcher, StreamPrefetcher, StridePrefetcher,
-};
+use crate::{BopPrefetcher, SmsPrefetcher, SppPrefetcher, StreamPrefetcher, StridePrefetcher};
 use dspatch::DsPatch;
 use dspatch_types::{
     LineAddr, MemoryAccess, NullPrefetcher, PrefetchContext, PrefetchSink, Prefetcher,
@@ -96,8 +92,6 @@ pub enum AnyPrefetcher {
     Stride(StridePrefetcher),
     /// Aggressive next-line streamer.
     Stream(StreamPrefetcher),
-    /// Access Map Pattern Matching.
-    Ampm(AmpmPrefetcher),
     /// Best Offset Prefetcher (BOP / eBOP).
     Bop(BopPrefetcher),
     /// Spatial Memory Streaming.
@@ -112,9 +106,6 @@ pub enum AnyPrefetcher {
     BopPlusSpp(Box<BopPlusSpp>),
     /// Iso-storage SMS as an adjunct to SPP.
     SmsPlusSpp(Box<SmsPlusSpp>),
-    /// Escape hatch for prefetchers outside the registry: dynamic dispatch,
-    /// exactly as before the enum existed.
-    Boxed(Box<dyn Prefetcher>),
 }
 
 /// Dispatches a method call to the concrete variant.
@@ -124,7 +115,6 @@ macro_rules! dispatch {
             AnyPrefetcher::Null($p) => $body,
             AnyPrefetcher::Stride($p) => $body,
             AnyPrefetcher::Stream($p) => $body,
-            AnyPrefetcher::Ampm($p) => $body,
             AnyPrefetcher::Bop($p) => $body,
             AnyPrefetcher::Sms($p) => $body,
             AnyPrefetcher::Spp($p) => $body,
@@ -132,7 +122,6 @@ macro_rules! dispatch {
             AnyPrefetcher::DspatchPlusSpp($p) => $body,
             AnyPrefetcher::BopPlusSpp($p) => $body,
             AnyPrefetcher::SmsPlusSpp($p) => $body,
-            AnyPrefetcher::Boxed($p) => $body,
         }
     };
 }
@@ -171,12 +160,6 @@ impl From<StridePrefetcher> for AnyPrefetcher {
 impl From<StreamPrefetcher> for AnyPrefetcher {
     fn from(p: StreamPrefetcher) -> Self {
         AnyPrefetcher::Stream(p)
-    }
-}
-
-impl From<AmpmPrefetcher> for AnyPrefetcher {
-    fn from(p: AmpmPrefetcher) -> Self {
-        AnyPrefetcher::Ampm(p)
     }
 }
 
@@ -222,12 +205,6 @@ impl From<SmsPlusSpp> for AnyPrefetcher {
     }
 }
 
-impl From<Box<dyn Prefetcher>> for AnyPrefetcher {
-    fn from(p: Box<dyn Prefetcher>) -> Self {
-        AnyPrefetcher::Boxed(p)
-    }
-}
-
 impl std::fmt::Debug for AnyPrefetcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("AnyPrefetcher").field(&self.name()).finish()
@@ -237,7 +214,7 @@ impl std::fmt::Debug for AnyPrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AmpmConfig, BopConfig, SmsConfig, SppConfig, StreamConfig, StrideConfig};
+    use crate::{BopConfig, SmsConfig, SppConfig, StreamConfig, StrideConfig};
     use dspatch::DsPatchConfig;
     use dspatch_types::{AccessKind, Addr, Pc};
 
@@ -246,7 +223,6 @@ mod tests {
             NullPrefetcher::new().into(),
             StridePrefetcher::new(StrideConfig::default()).into(),
             StreamPrefetcher::new(StreamConfig::default()).into(),
-            AmpmPrefetcher::new(AmpmConfig::default()).into(),
             BopPrefetcher::new(BopConfig::default()).into(),
             SmsPrefetcher::new(SmsConfig::default()).into(),
             SppPrefetcher::new(SppConfig::default()).into(),
@@ -281,28 +257,16 @@ mod tests {
 
     #[test]
     fn enum_and_boxed_forms_issue_identical_requests() {
-        // Drive a strided stream through the streamer both ways; the enum is
-        // a transparent wrapper, so the request sequences must be identical.
+        // Drive a strided stream through the streamer directly and through
+        // the enum; the enum is a transparent wrapper, so the request
+        // sequences must be identical.
         let mut direct = StreamPrefetcher::new(StreamConfig::default());
         let mut wrapped: AnyPrefetcher = StreamPrefetcher::new(StreamConfig::default()).into();
-        let mut boxed: AnyPrefetcher = AnyPrefetcher::from(Box::new(StreamPrefetcher::new(
-            StreamConfig::default(),
-        )) as Box<dyn Prefetcher>);
         let ctx = PrefetchContext::default();
         for i in 0..256u64 {
             let access = MemoryAccess::new(Pc::new(7), Addr::new(i * 64), AccessKind::Load);
             let want = direct.collect_requests(&access, &ctx);
             assert_eq!(wrapped.collect_requests(&access, &ctx), want);
-            assert_eq!(boxed.collect_requests(&access, &ctx), want);
         }
-        assert!(matches!(boxed, AnyPrefetcher::Boxed(_)));
-    }
-
-    #[test]
-    fn box_dyn_converts_to_the_escape_hatch() {
-        let boxed: Box<dyn Prefetcher> = Box::new(composites::dspatch_plus_spp());
-        let p: AnyPrefetcher = boxed.into();
-        assert!(matches!(p, AnyPrefetcher::Boxed(_)));
-        assert_eq!(p.name(), "DSPatch+SPP");
     }
 }

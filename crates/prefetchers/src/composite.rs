@@ -29,8 +29,6 @@ pub struct AdjunctPrefetcher<P, A> {
     primary: P,
     adjunct: A,
     name: String,
-    /// Optional cap on merged requests per access (0 = unlimited).
-    max_requests_per_access: usize,
 }
 
 impl<P: Prefetcher, A: Prefetcher> AdjunctPrefetcher<P, A> {
@@ -42,14 +40,7 @@ impl<P: Prefetcher, A: Prefetcher> AdjunctPrefetcher<P, A> {
             primary,
             adjunct,
             name,
-            max_requests_per_access: 0,
         }
-    }
-
-    /// Caps the number of merged prefetch requests returned per access.
-    pub fn with_request_cap(mut self, cap: usize) -> Self {
-        self.max_requests_per_access = cap;
-        self
     }
 
     /// The primary prefetcher.
@@ -70,10 +61,10 @@ impl<P: Prefetcher, A: Prefetcher> Prefetcher for AdjunctPrefetcher<P, A> {
 
     fn on_access(&mut self, access: &MemoryAccess, ctx: &PrefetchContext, out: &mut PrefetchSink) {
         // The sink may already hold earlier requests from the caller; only
-        // this access's slice takes part in dedup and capping. Both
-        // prefetchers append directly to the caller's sink; the adjunct's
-        // range is then deduplicated and compacted in place — no scratch
-        // buffer, no second copy of the requests.
+        // this access's slice takes part in dedup. Both prefetchers append
+        // directly to the caller's sink; the adjunct's range is then
+        // deduplicated and compacted in place — no scratch buffer, no
+        // second copy of the requests.
         let start = out.len();
         self.primary.on_access(access, ctx, out);
         let mid = out.len();
@@ -120,9 +111,6 @@ impl<P: Prefetcher, A: Prefetcher> Prefetcher for AdjunctPrefetcher<P, A> {
                 }
             }
             out.truncate(write);
-        }
-        if self.max_requests_per_access > 0 {
-            out.truncate(start + self.max_requests_per_access);
         }
     }
 
@@ -200,20 +188,6 @@ mod tests {
         );
         let reqs = combined.collect_requests(&access(0), &PrefetchContext::default());
         assert_eq!(reqs.len(), 4);
-    }
-
-    #[test]
-    fn request_cap_is_enforced() {
-        let mut combined = AdjunctPrefetcher::new(
-            StreamPrefetcher::new(StreamConfig::default()),
-            StreamPrefetcher::new(StreamConfig {
-                degree: 8,
-                ..StreamConfig::default()
-            }),
-        )
-        .with_request_cap(3);
-        let reqs = combined.collect_requests(&access(0), &PrefetchContext::default());
-        assert!(reqs.len() <= 3);
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //!   its bandwidth-enhanced eBOP variant (Section 2.2).
 //! * [`SmsPrefetcher`] — Spatial Memory Streaming (Somogyi et al., ISCA
 //!   2006) with a configurable pattern-history-table size (Figure 5).
-//! * [`AmpmPrefetcher`] — Access Map Pattern Matching (Ishii et al., 2009),
-//!   evaluated but not plotted by the paper.
 //! * [`StreamPrefetcher`] — an aggressive, fairly inaccurate streaming
 //!   prefetcher used for the appendix cache-pollution study (Figure 20).
 //! * [`AdjunctPrefetcher`] — runs a primary prefetcher and a lightweight
@@ -23,7 +21,6 @@
 //! Every prefetcher implements [`dspatch_types::Prefetcher`] and reports its
 //! hardware budget through `storage_bits`, reproducing Table 3.
 
-pub mod ampm;
 pub mod any;
 pub mod bop;
 pub mod composite;
@@ -32,7 +29,6 @@ pub mod spp;
 pub mod stream;
 pub mod stride;
 
-pub use ampm::{AmpmConfig, AmpmPrefetcher};
 pub use any::AnyPrefetcher;
 pub use bop::{BopConfig, BopPrefetcher};
 pub use composite::AdjunctPrefetcher;

@@ -255,9 +255,9 @@ impl SimulationBuilder {
     /// workloads, file-backed traces) or an owned [`dspatch_trace::Trace`],
     /// which becomes the materialized adapter source.
     ///
-    /// The prefetcher is anything convertible into [`AnyPrefetcher`]: a
-    /// concrete registry prefetcher (statically dispatched on the per-access
-    /// hot path) or a `Box<dyn Prefetcher>` (the dynamic escape hatch).
+    /// The prefetcher is anything convertible into [`AnyPrefetcher`], such
+    /// as a concrete registry prefetcher, statically dispatched on the
+    /// per-access hot path.
     #[must_use]
     pub fn with_core(
         mut self,

@@ -125,11 +125,6 @@ impl MaterializedSource {
             cursor: 0,
         }
     }
-
-    /// Returns the wrapped trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
 }
 
 impl TraceSource for MaterializedSource {

@@ -5,7 +5,7 @@
 //! on the individual crates directly:
 //!
 //! * [`dspatch`] — the DSPatch prefetcher itself (the paper's contribution).
-//! * [`dspatch_prefetchers`] — SPP, BOP, SMS, AMPM, stride, streamer and the
+//! * [`dspatch_prefetchers`] — SPP, BOP, SMS, stride, streamer and the
 //!   adjunct combinations.
 //! * [`dspatch_sim`] — the cache/DRAM/core simulator substrate.
 //! * [`dspatch_trace`] — synthetic workloads and multi-programmed mixes.

@@ -3,7 +3,9 @@
 //! the results are *identical* (bit-exact, thanks to deterministic traces
 //! and simulation) to the pre-redesign direct computation — per-workload
 //! baseline + candidate runs composed exactly the way the old bespoke
-//! per-figure loops did — plus a JSON↔spec round-trip property test.
+//! per-figure loops did — plus a JSON↔spec round-trip property test and
+//! a byte-for-byte check of every figure's smoke-scale JSON document
+//! against `tests/golden/smoke/`.
 
 use dspatch_harness::campaign::{
     CampaignSpec, CellSpec, ConfigBase, ConfigSpec, PrefetcherSel, ScaleSpec, TargetSelector,
@@ -151,13 +153,7 @@ fn fig5_matches_the_pre_redesign_direct_computation() {
 
 #[test]
 fn every_named_figure_runs_through_the_registry() {
-    let scale = RunScale {
-        accesses_per_workload: 600,
-        workloads_per_category: 1,
-        mixes: 1,
-        threads: 4,
-        sampling: None,
-    };
+    let scale = RunScale::smoke();
     for id in FigureId::ALL {
         let table = id
             .run(&scale)
@@ -170,8 +166,23 @@ fn every_named_figure_runs_through_the_registry() {
             id.name()
         );
         // Every format stays available for every figure.
-        assert!(dspatch_harness::Json::parse(&table.to_json().render()).is_ok());
+        let json = table.to_json().render();
+        assert!(dspatch_harness::Json::parse(&json).is_ok());
         assert!(table.to_csv().lines().count() >= 1);
+        // The byte-identity oracle: the document `dspatch-lab --figure F
+        // --scale smoke --format json` prints.
+        let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden/smoke")
+            .join(format!("{}.json", id.name()));
+        let want = std::fs::read_to_string(&golden)
+            .unwrap_or_else(|error| panic!("{}: {error}", golden.display()));
+        assert!(
+            json == want,
+            "{} moved at smoke scale; a change meant to move it regenerates {} \
+             with dspatch-lab\n--- golden\n{want}--- now\n{json}",
+            id.name(),
+            golden.display()
+        );
     }
 }
 

@@ -5,9 +5,8 @@
 //! per-access request sets, with no state leaking through the buffer).
 
 use dspatch_prefetchers::{
-    AdjunctPrefetcher, AmpmConfig, AmpmPrefetcher, BopConfig, BopPrefetcher, SmsConfig,
-    SmsPrefetcher, SppConfig, SppPrefetcher, StreamConfig, StreamPrefetcher, StrideConfig,
-    StridePrefetcher,
+    AdjunctPrefetcher, BopConfig, BopPrefetcher, SmsConfig, SmsPrefetcher, SppConfig,
+    SppPrefetcher, StreamConfig, StreamPrefetcher, StrideConfig, StridePrefetcher,
 };
 use dspatch_sim::{Cache, CacheConfig};
 use dspatch_types::{
@@ -235,11 +234,6 @@ proptest! {
             &stream,
             "stream",
         );
-        assert_sink_matches_collect(
-            || AmpmPrefetcher::new(AmpmConfig::default()),
-            &stream,
-            "ampm",
-        );
         assert_sink_matches_collect(|| BopPrefetcher::new(BopConfig::default()), &stream, "bop");
         assert_sink_matches_collect(|| SmsPrefetcher::new(SmsConfig::default()), &stream, "sms");
         assert_sink_matches_collect(|| SppPrefetcher::new(SppConfig::default()), &stream, "spp");
@@ -312,6 +306,7 @@ fn stream_prefetcher_golden_requests() {
 mod cycle_skip {
     use super::*;
     use dspatch_prefetchers::any::composites;
+    use dspatch_prefetchers::AnyPrefetcher;
     use dspatch_sim::{SimResult, SimulationBuilder, SystemConfig};
     use dspatch_trace::{Trace, TraceRecord};
 
@@ -330,10 +325,10 @@ mod cycle_skip {
         config.max_cycles = max_cycles;
         let mut builder = SimulationBuilder::new(config);
         for records in traces {
-            let prefetcher: Box<dyn Prefetcher> = if prefetch {
-                Box::new(composites::dspatch_plus_spp())
+            let prefetcher: AnyPrefetcher = if prefetch {
+                composites::dspatch_plus_spp().into()
             } else {
-                Box::new(dspatch_types::NullPrefetcher::new())
+                dspatch_types::NullPrefetcher::new().into()
             };
             builder = builder.with_core(Trace::new("skip-diff", records.clone()), prefetcher);
         }

@@ -1,21 +1,17 @@
-//! Schema-upgrade guarantees for the unified result schema.
+//! Format guarantees for the result store.
 //!
-//! `tests/fixtures/` holds byte-exact store files written by the
-//! **previous** release's writer (store v1 `{"cell": ...}` records), plus a
-//! torn-tail variant simulating a crash mid-append. These tests prove the
-//! current reader loads them through the `ResultRow` upgrade path and that
-//! the result payloads re-render **bit-for-bit** — if a serializer change
-//! ever breaks compatibility with shipped files, these fail first.
-//!
-//! The `store_v2_mix_0.1.0.jsonl` fixture is a store written by code
-//! version `0.1.0` for one 4-core mix, before multi-core simulations ran
-//! on the exact cycle-interleaved machine. Its results are from a
-//! different model, so they must never be served.
+//! The `store_v2_mix_0.1.0.jsonl` fixture is a byte-exact store written by
+//! code version `0.1.0` for one 4-core mix, before multi-core simulations
+//! ran on the exact cycle-interleaved machine. These tests prove that the
+//! current reader loads its rows and re-renders them **bit-for-bit** (if a
+//! serializer change ever breaks compatibility with shipped files, that
+//! test fails first), that an older store format is refused without being
+//! touched, and that the fixture's results, from a different model, are
+//! never served.
 
 use dspatch_harness::campaign::{run_campaign_with, ExecOptions};
-use dspatch_harness::results::sim_result_to_json;
 use dspatch_harness::store::code_version;
-use dspatch_harness::{CampaignSpec, Json, ResultRow, ResultStore, RunScale};
+use dspatch_harness::{CampaignSpec, HarnessError, Json, ResultStore, RunScale};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -43,74 +39,73 @@ fn install_store(tag: &str, fixture_name: &str) -> PathBuf {
 }
 
 #[test]
-fn store_v1_cells_load_and_rerender_bit_for_bit() {
-    let dir = install_store("store-v1", "store_v1_results.jsonl");
-    let store = ResultStore::open(&dir).expect("v1 store opens");
-    assert_eq!(store.len(), 2, "both fixture cells load");
+fn store_v2_rows_load_and_rerender_bit_for_bit() {
+    let dir = install_store("store-v2", "store_v2_mix_0.1.0.jsonl");
+    let store = ResultStore::open(&dir).expect("v2 store opens");
+    assert_eq!(store.len(), 2, "both fixture rows load");
 
-    let text = std::fs::read_to_string(fixture("store_v1_results.jsonl")).expect("read fixture");
+    let text = std::fs::read_to_string(fixture("store_v2_mix_0.1.0.jsonl")).expect("read fixture");
     for line in text.lines().skip(1) {
         let parsed = Json::parse(line).expect("fixture line parses");
-        let cell = parsed.get("cell").expect("cell record");
-        let fingerprint = cell
-            .get("fingerprint")
+        let fingerprint = parsed
+            .get("row")
+            .and_then(|row| row.get("fingerprint"))
             .and_then(Json::as_str)
             .expect("fingerprint");
         let row = store
             .get_row(fingerprint)
             .unwrap_or_else(|| panic!("fingerprint {fingerprint} loaded"));
-        assert!(row.is_legacy(), "v1 cells surface as legacy rows");
-        assert_eq!(row.fingerprint, fingerprint);
-        assert!(row.workload.is_empty() && row.code_version.is_empty());
-
         // Re-render the fixture line from the loaded row: byte equality
-        // proves the SimResult payload survived the upgrade path exactly.
-        let rebuilt = Json::obj([(
-            "cell",
-            Json::obj([
-                ("fingerprint", Json::str(&row.fingerprint)),
-                ("result", sim_result_to_json(&row.result)),
-            ]),
-        )])
-        .render_compact();
-        assert_eq!(rebuilt, line, "cell {fingerprint} re-renders bit-for-bit");
+        // proves the identity and the SimResult payload survived exactly.
+        let rebuilt = Json::obj([("row", row.to_json())]).render_compact();
+        assert_eq!(rebuilt, line, "row {fingerprint} re-renders bit-for-bit");
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An older store is an unsupported format: opening it is a typed
+/// mismatch, and the file keeps every byte. A complete row of schema 1 as
+/// the final line must not pass for a torn append and be truncated away.
 #[test]
-fn store_v1_torn_tail_is_dropped_and_store_stays_appendable() {
-    let dir = install_store("store-v1-torn", "store_v1_torn.jsonl");
-    let store_path;
-    {
-        let mut store = ResultStore::open(&dir).expect("torn v1 store opens");
-        store_path = store.path().to_path_buf();
-        assert_eq!(store.len(), 1, "torn final cell silently dropped");
-        let survivor = store.rows().next().expect("surviving row").clone();
-
-        // The store must keep accepting current-schema rows after the
-        // legacy truncation...
-        let fresh = ResultRow::new(
-            "feedfacefeedface".to_owned(),
-            "upgrade".to_owned(),
-            "linpack".to_owned(),
-            "SPP".to_owned(),
-            "1T".to_owned(),
-            2000,
-            String::new(),
-            survivor.result.clone(),
+fn older_store_formats_are_refused_and_left_untouched() {
+    let text = std::fs::read_to_string(fixture("store_v2_mix_0.1.0.jsonl")).expect("read fixture");
+    let last_row = text.rfind("{\"row\": {\"schema\": 2,").expect("final row");
+    let cases = [
+        (
+            "version",
+            text.replacen("\"version\": 2}", "\"version\": 1}", 1),
+        ),
+        (
+            "schema",
+            format!(
+                "{}{}",
+                &text[..last_row],
+                text[last_row..].replacen("\"schema\": 2,", "\"schema\": 1,", 1)
+            ),
+        ),
+    ];
+    for (field, older) in cases {
+        assert_ne!(older, text, "{field}: the fixture was rewritten");
+        let dir = scratch(&format!("older-{field}"));
+        let path = dir.join("results.jsonl");
+        std::fs::write(&path, &older).expect("install older store");
+        let err = ResultStore::open(&dir).expect_err("older store must be refused");
+        assert!(
+            matches!(
+                &err,
+                HarnessError::Mismatch { field: got, expected, found, .. }
+                    if *got == field && expected == "2" && found == "1"
+            ),
+            "{field}: {err:?}"
         );
-        assert!(store.insert(&fresh).expect("append after upgrade"));
-        assert_eq!(store.len(), 2);
+        assert_eq!(err.class().exit_code(), 6, "{field}: exit code");
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("reread"),
+            older,
+            "{field}: a refused store keeps every byte"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
-    // ...and the mixed v1-meta/v2-record file must reload cleanly.
-    let reopened = ResultStore::open(&dir).expect("mixed-version store reopens");
-    assert_eq!(reopened.len(), 2);
-    let row = reopened
-        .get_row("feedfacefeedface")
-        .expect("v2 row persisted");
-    assert!(!row.is_legacy());
-    assert_eq!(row.workload, "linpack");
-    assert!(store_path.exists());
 }
 
 /// The campaign the `store_v2_mix_0.1.0.jsonl` fixture was written for.

@@ -6,17 +6,14 @@
 //! fidelity.
 
 use dspatch_harness::runner::PrefetcherKind;
-use dspatch_prefetchers::AnyPrefetcher;
 use dspatch_sim::{SimResult, SimulationBuilder, SystemConfig};
-use dspatch_trace::{
-    collect_source, heterogeneous_mixes, homogeneous_mixes, suite, IntoTraceSource, TraceSource,
-};
+use dspatch_trace::{collect_source, homogeneous_mixes, suite, IntoTraceSource, TraceSource};
 
 const SMOKE_ACCESSES: usize = 1_200;
 
 fn run_single(source: impl IntoTraceSource, kind: PrefetcherKind) -> SimResult {
     SimulationBuilder::new(SystemConfig::single_thread())
-        .with_core(source, kind.build())
+        .with_core(source, kind.build_any())
         .run()
 }
 
@@ -55,48 +52,14 @@ fn multi_programmed_mixes_stream_bit_identically() {
         for workload in &mix.workloads {
             materialized = materialized.with_core(
                 workload.generate(SMOKE_ACCESSES),
-                PrefetcherKind::DspatchPlusSpp.build(),
+                PrefetcherKind::DspatchPlusSpp.build_any(),
             );
             streamed = streamed.with_core(
                 workload.source(SMOKE_ACCESSES),
-                PrefetcherKind::DspatchPlusSpp.build(),
+                PrefetcherKind::DspatchPlusSpp.build_any(),
             );
         }
         assert_eq!(materialized.run(), streamed.run(), "{}", mix.name);
-    }
-}
-
-/// Static dispatch is a pure call-convention change: for **every** registry
-/// prefetcher, a heterogeneous 4-core mix simulated with the statically
-/// dispatched [`AnyPrefetcher`] must be bit-identical to the same mix
-/// simulated through the boxed `dyn Prefetcher` escape hatch.
-#[test]
-fn every_registry_prefetcher_is_bit_identical_between_static_and_boxed_dispatch() {
-    let mix = &heterogeneous_mixes(1, 4, 7)[0];
-    let config = SystemConfig::multi_programmed();
-    for kind in PrefetcherKind::ALL {
-        let mut static_dispatch = SimulationBuilder::new(config.clone());
-        let mut boxed_dispatch = SimulationBuilder::new(config.clone());
-        for workload in &mix.workloads {
-            static_dispatch =
-                static_dispatch.with_core(workload.source(SMOKE_ACCESSES), kind.build_any());
-            // `kind.build()` yields Box<dyn Prefetcher>, which converts into
-            // the AnyPrefetcher::Boxed escape hatch.
-            boxed_dispatch =
-                boxed_dispatch.with_core(workload.source(SMOKE_ACCESSES), kind.build());
-        }
-        assert!(
-            !matches!(kind.build_any(), AnyPrefetcher::Boxed(_)),
-            "{}: registry kinds must construct statically dispatched variants",
-            kind.label()
-        );
-        assert_eq!(
-            static_dispatch.run(),
-            boxed_dispatch.run(),
-            "{}: static and boxed dispatch diverged on mix {}",
-            kind.label(),
-            mix.name
-        );
     }
 }
 

@@ -17,9 +17,8 @@
 //! thread can allocate while a measurement window is open.
 
 use dspatch_prefetchers::{
-    AdjunctPrefetcher, AmpmConfig, AmpmPrefetcher, BopConfig, BopPrefetcher, SmsConfig,
-    SmsPrefetcher, SppConfig, SppPrefetcher, StreamConfig, StreamPrefetcher, StrideConfig,
-    StridePrefetcher,
+    AdjunctPrefetcher, BopConfig, BopPrefetcher, SmsConfig, SmsPrefetcher, SppConfig,
+    SppPrefetcher, StreamConfig, StreamPrefetcher, StrideConfig, StridePrefetcher,
 };
 use dspatch_types::{
     AccessKind, Addr, MemoryAccess, Pc, PrefetchContext, PrefetchSink, Prefetcher, CACHE_LINE_BYTES,
@@ -165,7 +164,6 @@ fn prefetcher_hot_path_is_allocation_free_in_steady_state() {
             "stream",
             Box::new(StreamPrefetcher::new(StreamConfig::default())),
         ),
-        ("ampm", Box::new(AmpmPrefetcher::new(AmpmConfig::default()))),
         ("bop", Box::new(BopPrefetcher::new(BopConfig::default()))),
         ("sms", Box::new(SmsPrefetcher::new(SmsConfig::default()))),
         ("spp", Box::new(SppPrefetcher::new(SppConfig::default()))),
