@@ -30,7 +30,7 @@ use crate::config::SystemConfig;
 use crate::dram::Dram;
 use crate::snapshot::MachineState;
 use crate::stats::{CoreResult, PollutionBreakdown, PrefetchAccounting, SimResult};
-use crate::tables::{LineSet, LineTable, ReadyQueue, Slot};
+use crate::tables::{LineTable, ReadyQueue, Slot};
 use dspatch_prefetchers::{AnyPrefetcher, StrideConfig, StridePrefetcher};
 use dspatch_trace::{IntoTraceSource, TraceRecord, TraceSource};
 use dspatch_types::{
@@ -43,8 +43,13 @@ use std::collections::BinaryHeap;
 /// Extra cycles charged for traversing the on-die interconnect to DRAM on
 /// top of the cache probe latencies.
 const DRAM_REQUEST_OVERHEAD: u64 = 10;
-/// Upper bound on tracked pollution victims (memory guard).
+/// Upper bound on tracked pollution victims, in lines (memory guard). The
+/// worst case is every victim alone in its page: 2^20 pages at a 16-byte
+/// key and mask each, 32 MiB of table (a set of lines would take 16 MiB).
 const POLLUTION_TRACK_CAP: usize = 1 << 20;
+/// Pages the victim table holds before its first growth (32 KiB of keys
+/// and masks); it doubles from there.
+const POLLUTION_START_PAGES: usize = 1 << 10;
 
 #[derive(Debug, Clone, Copy)]
 struct PendingFill {
@@ -189,20 +194,19 @@ impl std::fmt::Debug for CoreState {
 #[derive(Debug)]
 struct PollutionTracker {
     /// Lines evicted from the LLC by a prefetch fill and not re-demanded
-    /// yet. A set, not a map: membership is the only state. Open-addressed —
-    /// this is probed on every demand that leaves the L2.
-    victims: LineSet,
+    /// yet, as one mask of victim lines per 4 KB page. A page's entry is
+    /// removed when its mask empties.
+    victims: LineTable<u64>,
+    /// Victim lines tracked: the set bits across every mask.
+    lines: usize,
     counts: PollutionBreakdown,
 }
 
 impl Default for PollutionTracker {
     fn default() -> Self {
         Self {
-            // Pre-size past the typical victim population so common runs
-            // never pay a rehash. Pollution-heavy runs can still grow the
-            // set (up to POLLUTION_TRACK_CAP) and amortize rehashes then;
-            // pre-sizing to the full 1M cap would cost ~10 MB per machine.
-            victims: LineSet::with_capacity(1 << 16),
+            victims: LineTable::with_capacity(POLLUTION_START_PAGES, 0),
+            lines: 0,
             counts: PollutionBreakdown::default(),
         }
     }
@@ -210,24 +214,65 @@ impl Default for PollutionTracker {
 
 impl PollutionTracker {
     fn record_prefetch_victim(&mut self, line: LineAddr) {
-        if self.victims.len() < POLLUTION_TRACK_CAP {
-            self.victims.insert(line.as_u64());
+        if self.lines >= POLLUTION_TRACK_CAP {
+            return;
         }
-    }
-
-    fn observe_demand(&mut self, line: LineAddr, went_to_dram: bool) {
-        if self.victims.remove(line.as_u64()) {
-            if went_to_dram {
-                self.counts.bad_pollution += 1;
-            } else {
-                self.counts.prefetched_before_use += 1;
+        let bit = 1u64 << line.page_offset();
+        match self.victims.slot(line.page().as_u64()) {
+            Slot::Occupied(mask) => {
+                if *mask & bit != 0 {
+                    return;
+                }
+                *mask |= bit;
             }
+            Slot::Vacant(slot) => slot.insert(bit),
+        }
+        self.lines += 1;
+    }
+
+    /// Classifies a demand that left the L2 if its line is a tracked
+    /// victim. Called on every such demand, so it returns at once while
+    /// nothing is tracked (every baseline run, and every run before its
+    /// first prefetch-fill eviction).
+    #[inline]
+    fn observe_demand(&mut self, line: LineAddr, went_to_dram: bool) {
+        if self.lines == 0 {
+            return;
+        }
+        let page = line.page().as_u64();
+        let bit = 1u64 << line.page_offset();
+        let Some(mask) = self.victims.get_mut(page) else {
+            return;
+        };
+        if *mask & bit == 0 {
+            return;
+        }
+        *mask &= !bit;
+        if *mask == 0 {
+            self.victims.remove(page);
+        }
+        self.lines -= 1;
+        if went_to_dram {
+            self.counts.bad_pollution += 1;
+        } else {
+            self.counts.prefetched_before_use += 1;
         }
     }
 
-    fn finish(mut self) -> PollutionBreakdown {
-        self.counts.no_reuse += self.victims.len() as u64;
-        self.counts
+    /// The breakdown so far: victims still tracked count as never reused.
+    fn breakdown(&self) -> PollutionBreakdown {
+        PollutionBreakdown {
+            no_reuse: self.counts.no_reuse + self.lines as u64,
+            ..self.counts
+        }
+    }
+
+    /// Forgets every tracked victim, keeping the table's capacity, and
+    /// restarts the counts from `counts`.
+    fn reset(&mut self, counts: PollutionBreakdown) {
+        self.victims.clear();
+        self.lines = 0;
+        self.counts = counts;
     }
 }
 
@@ -462,7 +507,7 @@ impl Machine {
             cores,
             llc: *self.fab.llc.stats(),
             dram: *self.fab.dram.stats(),
-            pollution: std::mem::take(&mut self.fab.pollution).finish(),
+            pollution: self.fab.pollution.breakdown(),
             cycles,
             cache_geometry: vec![
                 self.config.l1.geometry(),
@@ -848,7 +893,7 @@ impl Machine {
     fn begin_interval(&mut self) {
         self.cycle = 0;
         self.fab.reset_timing();
-        self.fab.pollution = PollutionTracker::default();
+        self.fab.pollution.reset(PollutionBreakdown::default());
         self.fab.llc.reset_stats();
         self.fab.dram.reset_interval();
         for core in &mut self.cores {
@@ -997,11 +1042,11 @@ impl Machine {
         }
         self.fab.llc.load_state(&mut reader)?;
         self.fab.dram.load_state(&mut reader)?;
-        let mut pollution = PollutionTracker::default();
-        pollution.counts.no_reuse = reader.get_u64()?;
-        pollution.counts.prefetched_before_use = reader.get_u64()?;
-        pollution.counts.bad_pollution = reader.get_u64()?;
-        self.fab.pollution = pollution;
+        self.fab.pollution.reset(PollutionBreakdown {
+            no_reuse: reader.get_u64()?,
+            prefetched_before_use: reader.get_u64()?,
+            bad_pollution: reader.get_u64()?,
+        });
         self.fab.reset_timing();
         reader.expect_end()?;
         Ok(())
@@ -1467,8 +1512,11 @@ impl std::fmt::Debug for Machine {
 mod tests {
     use super::*;
     use crate::config::DramSpeedGrade;
+    use dspatch_prefetchers::any::composites;
     use dspatch_prefetchers::{StreamConfig, StreamPrefetcher};
-    use dspatch_trace::{PatternGenerator, SpatialPatternGen, StreamGen, Trace};
+    use dspatch_trace::{
+        memory_intensive_suite, PatternGenerator, SpatialPatternGen, StreamGen, Trace,
+    };
     use dspatch_types::NullPrefetcher;
 
     fn stream_trace(len: usize, seed: u64) -> Trace {
@@ -1821,14 +1869,100 @@ mod tests {
                 }),
             )
             .run();
-        assert!(
-            result.pollution.total() > 0,
-            "prefetch fills must evict something"
+        assert_eq!(
+            result.pollution,
+            PollutionBreakdown {
+                no_reuse: 1_158,
+                prefetched_before_use: 0,
+                bad_pollution: 0,
+            },
+            "every victim of this sparse trace is dead"
         );
-        let (no_reuse, _, bad) = result.pollution.fractions();
-        assert!(
-            no_reuse > bad,
-            "dead victims should dominate true pollution"
+    }
+
+    /// Pins the full breakdown on two memory-intensive workloads whose
+    /// victims fall into every class, so a tracker that loses, double-counts
+    /// or misfiles a victim moves a number.
+    #[test]
+    fn pollution_breakdown_is_pinned_on_memory_intensive_workloads() {
+        let suite = memory_intensive_suite();
+        let cases = [("tpcc", (9_164, 14, 14)), ("astar", (8_985, 4, 165))];
+        for (name, (no_reuse, prefetched_before_use, bad_pollution)) in cases {
+            let workload = suite
+                .iter()
+                .find(|w| w.name == name)
+                .expect("workload is memory-intensive");
+            let result = run_single(workload.source(20_000), composites::dspatch_plus_spp());
+            assert_eq!(
+                result.pollution,
+                PollutionBreakdown {
+                    no_reuse,
+                    prefetched_before_use,
+                    bad_pollution,
+                },
+                "{name}"
+            );
+        }
+    }
+
+    /// Differential-tests the page-mask tracker against a plain set of
+    /// lines through a long seeded churn: a few victims per page, victims
+    /// recorded again while tracked, pages emptied and refilled, demands
+    /// that went to DRAM and ones that did not, and resets.
+    #[test]
+    fn pollution_tracker_matches_a_line_set_under_churn() {
+        let mut tracker = PollutionTracker::default();
+        let mut reference = std::collections::HashSet::new();
+        let mut counts = PollutionBreakdown::default();
+        // Demands before the first victim find nothing.
+        for line in 0..256 {
+            tracker.observe_demand(LineAddr::new(line), line % 2 == 0);
+        }
+        assert_eq!(tracker.breakdown(), counts);
+        // Offsets at both ends of a page and in between, a few per page.
+        const OFFSETS: [u64; 6] = [0, 1, 17, 40, 62, 63];
+        let mut state = 0x5EED_F00D_u64;
+        for step in 0..200_000u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let page = (state >> 40) % 512;
+            let line = page * 64 + OFFSETS[((state >> 32) % 6) as usize];
+            if state % 5 < 2 {
+                tracker.record_prefetch_victim(LineAddr::new(line));
+                reference.insert(line);
+            } else {
+                let went_to_dram = (state >> 20) & 1 == 1;
+                tracker.observe_demand(LineAddr::new(line), went_to_dram);
+                if reference.remove(&line) {
+                    if went_to_dram {
+                        counts.bad_pollution += 1;
+                    } else {
+                        counts.prefetched_before_use += 1;
+                    }
+                }
+            }
+            if step % 50_000 == 49_999 {
+                // An interval boundary or a restore: the victims are
+                // forgotten and the counts start from the given values.
+                tracker.reset(counts);
+                reference.clear();
+            }
+            assert_eq!(tracker.lines, reference.len(), "step {step}");
+            assert_eq!(tracker.counts, counts, "step {step}");
+            if step % 1_000 == 0 {
+                let pages: std::collections::HashSet<u64> =
+                    reference.iter().map(|line| line >> 6).collect();
+                assert_eq!(tracker.victims.len(), pages.len(), "step {step}");
+            }
+        }
+        assert!(counts.prefetched_before_use > 0 && counts.bad_pollution > 0);
+        assert_eq!(
+            tracker.breakdown(),
+            PollutionBreakdown {
+                no_reuse: counts.no_reuse + reference.len() as u64,
+                ..counts
+            }
         );
     }
 

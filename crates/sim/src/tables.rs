@@ -1,23 +1,22 @@
 //! Open-addressed hash structures for the per-access hot path.
 //!
-//! The machine tracks two line-keyed populations: in-flight DRAM fills
-//! (probed at least once per L2 miss and once per prefetch candidate) and
-//! LLC pollution victims (probed on every demand that leaves the L2). Both
-//! previously lived in `std::collections` tables behind an Fx hasher; the
-//! generic SwissTable machinery — `Option`-wrapped buckets, hasher plumbing,
-//! group scans — costs more than the probe itself for 8-byte keys.
+//! The machine keeps two populations in a [`LineTable`]: in-flight DRAM
+//! fills keyed by line (probed at least once per L2 miss and once per
+//! prefetch candidate), and LLC pollution victims keyed by 4 KB page, each
+//! holding a 64-bit mask of the page's victim lines (probed on every demand
+//! that leaves the L2 while any victim is tracked).
 //!
-//! [`LineTable`] and [`LineSet`] replace them with the simplest structure
-//! that wins: a power-of-two slab of `u64` keys (multiply-shift hashed),
-//! linear probing, and backward-shift deletion (no tombstones, so heavy
-//! insert/remove churn — millions of fills over a few hundred live entries —
-//! never degrades probe lengths). Capacity is seeded from the MSHR
-//! configuration and doubles at 1/2 load — plain linear probing wants the
-//! headroom (there is no SIMD group scan to ride out long clusters), and
-//! at 8 bytes per slot the memory cost is irrelevant.
+//! A [`LineTable`] is the simplest structure that serves 8-byte keys: a
+//! power-of-two slab of `u64` keys (multiply-shift hashed), linear probing,
+//! and backward-shift deletion (no tombstones, so heavy insert/remove churn
+//! — millions of fills over a few hundred live entries — never degrades
+//! probe lengths). Capacity is seeded by the caller and doubles at 1/2
+//! load — plain linear probing wants the headroom (there is no SIMD group
+//! scan to ride out long clusters).
 //!
-//! Keys are cache-line numbers (byte address >> 6), which can never equal
-//! the reserved `EMPTY` sentinel of `u64::MAX`.
+//! Keys are cache-line numbers (byte address >> 6) or page numbers (byte
+//! address >> 12), neither of which can equal the reserved `EMPTY`
+//! sentinel of `u64::MAX`.
 
 /// Reserved key marking an unoccupied slot.
 const EMPTY: u64 = u64::MAX;
@@ -52,7 +51,8 @@ impl<V: Copy> VacantSlot<'_, V> {
     }
 }
 
-/// An open-addressed `u64 → V` map specialized for line-address keys.
+/// An open-addressed `u64 → V` map specialized for line- and page-number
+/// keys.
 #[derive(Debug, Clone)]
 pub struct LineTable<V> {
     keys: Vec<u64>,
@@ -94,7 +94,7 @@ impl<V: Copy> LineTable<V> {
     }
 
     /// Removes every entry, keeping the allocated capacity. O(capacity);
-    /// used to drop in-flight fills at a sampling-interval boundary.
+    /// used at sampling-interval boundaries and checkpoint restores.
     pub fn clear(&mut self) {
         self.keys.fill(EMPTY);
         self.len = 0;
@@ -215,52 +215,6 @@ impl<V: Copy> LineTable<V> {
     }
 }
 
-/// An open-addressed set of line addresses (a [`LineTable`] without values).
-#[derive(Debug, Clone)]
-pub struct LineSet {
-    inner: LineTable<()>,
-}
-
-impl LineSet {
-    /// Creates a set with room for at least `capacity` lines before the
-    /// first growth.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            inner: LineTable::with_capacity(capacity, ()),
-        }
-    }
-
-    /// Number of lines in the set.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Inserts `key`; returns whether it was newly added.
-    #[inline]
-    pub fn insert(&mut self, key: u64) -> bool {
-        match self.inner.slot(key) {
-            Slot::Occupied(_) => false,
-            Slot::Vacant(slot) => {
-                slot.insert(());
-                true
-            }
-        }
-    }
-
-    /// Removes `key`; returns whether it was present.
-    #[inline]
-    pub fn remove(&mut self, key: u64) -> bool {
-        self.inner.remove(key).is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,20 +282,6 @@ mod tests {
                 assert_eq!(table.get_mut(k).copied(), Some(i));
             }
         }
-    }
-
-    #[test]
-    fn set_tracks_membership() {
-        let mut set = LineSet::with_capacity(4);
-        assert!(set.insert(10));
-        assert!(!set.insert(10));
-        assert!(set.remove(10));
-        assert!(!set.remove(10));
-        assert!(set.is_empty());
-        for i in 0..1000 {
-            set.insert(i * 7);
-        }
-        assert_eq!(set.len(), 1000);
     }
 
     #[test]
