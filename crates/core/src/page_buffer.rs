@@ -220,15 +220,6 @@ impl PageBuffer {
         }
         outcome
     }
-
-    /// Removes and returns every tracked entry, e.g. at the end of a
-    /// simulation so that partially-observed pages still train the SPT.
-    pub fn drain(&mut self) -> Vec<PageBufferEntry> {
-        self.pages.clear();
-        self.last_uses.clear();
-        self.mru = 0;
-        std::mem::take(&mut self.entries)
-    }
 }
 
 #[cfg(test)]
@@ -310,17 +301,6 @@ mod tests {
         assert_eq!(evicted.page, PageAddr::new(1));
         assert_eq!(evicted.recorded_triggers().count(), 2);
         assert!(evicted.pattern.get(2) && evicted.pattern.get(34));
-    }
-
-    #[test]
-    fn drain_returns_everything_and_empties_buffer() {
-        let mut pb = PageBuffer::new(8);
-        for p in 0..5u64 {
-            pb.record_access(PageAddr::new(p), 0, pc(p));
-        }
-        let drained = pb.drain();
-        assert_eq!(drained.len(), 5);
-        assert!(pb.is_empty());
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub struct DsPatch {
     config: DsPatchConfig,
     page_buffer: PageBuffer,
     spt: SignaturePredictionTable,
-    last_bandwidth: BandwidthQuartile,
     stats: DsPatchStats,
     name: String,
 }
@@ -60,7 +59,6 @@ impl DsPatch {
         Self {
             page_buffer: PageBuffer::new(config.page_buffer_entries),
             spt: SignaturePredictionTable::new(&config),
-            last_bandwidth: BandwidthQuartile::Q0,
             stats: DsPatchStats::default(),
             name: "DSPatch".to_owned(),
             config,
@@ -91,16 +89,6 @@ impl DsPatch {
     /// Hardware storage breakdown (Table 1).
     pub fn storage_breakdown(&self) -> StorageBreakdown {
         StorageBreakdown::for_config(&self.config)
-    }
-
-    /// Trains the SPT with every page still resident in the Page Buffer.
-    /// The simulator calls this at the end of a run so short traces still
-    /// contribute learning; hardware would simply keep the state warm.
-    pub fn flush_training(&mut self) {
-        let bandwidth = self.last_bandwidth;
-        for entry in self.page_buffer.drain() {
-            self.train_from_entry(&entry, bandwidth);
-        }
     }
 
     fn train_from_entry(&mut self, entry: &PageBufferEntry, bandwidth: BandwidthQuartile) {
@@ -163,7 +151,6 @@ impl Prefetcher for DsPatch {
 
     fn on_access(&mut self, access: &MemoryAccess, ctx: &PrefetchContext, out: &mut PrefetchSink) {
         self.stats.accesses += 1;
-        self.last_bandwidth = ctx.bandwidth;
         let page = access.page();
         let outcome = self
             .page_buffer
@@ -266,19 +253,6 @@ mod tests {
         let requests = pf.collect_requests(&access(0x1111, 800, 3), &ctx);
         let trigger_line = Addr::new(800 * 4096 + 3 * 64).line();
         assert!(requests.iter().all(|r| r.line != trigger_line));
-    }
-
-    #[test]
-    fn flush_training_trains_resident_pages() {
-        let mut pf = DsPatch::new(DsPatchConfig::default());
-        let ctx = PrefetchContext::default();
-        for off in [0u64, 1, 2, 3] {
-            let _ = pf.collect_requests(&access(0x42, 7, off), &ctx);
-        }
-        assert_eq!(pf.stats().trainings, 0);
-        pf.flush_training();
-        assert!(pf.stats().trainings > 0);
-        assert!(pf.page_buffer().is_empty());
     }
 
     #[test]

@@ -394,26 +394,27 @@ impl ColumnarView {
     /// the same (workload, config, scale, sampling, code_version).
     pub fn from_rows(mut rows: Vec<ResultRow>) -> Self {
         rows.sort_by_key(canonical_key);
-        let baseline_of = |row: &ResultRow| -> Option<usize> {
+        // The first Baseline row in canonical order joins each identity.
+        let mut baselines = std::collections::HashMap::new();
+        for (index, row) in rows.iter().enumerate() {
             if row.prefetcher == "Baseline" {
-                return None;
+                baselines.entry(baseline_identity(row)).or_insert(index);
             }
-            rows.iter().position(|candidate| {
-                candidate.prefetcher == "Baseline"
-                    && candidate.workload == row.workload
-                    && candidate.config == row.config
-                    && candidate.scale == row.scale
-                    && candidate.sampling == row.sampling
-                    && candidate.code_version == row.code_version
-            })
-        };
+        }
         let speedups: Vec<f64> = rows
             .iter()
-            .map(|row| match baseline_of(row) {
-                Some(b) if rows[b].result.cores.len() == row.result.cores.len() => {
-                    row.result.speedup_over(&rows[b].result)
+            .map(|row| {
+                let baseline = if row.prefetcher == "Baseline" {
+                    None
+                } else {
+                    baselines.get(&baseline_identity(row))
+                };
+                match baseline {
+                    Some(&b) if rows[b].result.cores.len() == row.result.cores.len() => {
+                        row.result.speedup_over(&rows[b].result)
+                    }
+                    _ => f64::NAN,
                 }
-                _ => f64::NAN,
             })
             .collect();
 
@@ -724,6 +725,18 @@ fn canonical_key(row: &ResultRow) -> (String, String, String, u64, String, Vec<S
     )
 }
 
+/// What a row shares with the `Baseline` row its speedup is measured
+/// against.
+fn baseline_identity(row: &ResultRow) -> (&str, &str, u64, &str, &str) {
+    (
+        &row.workload,
+        &row.config,
+        row.scale,
+        &row.sampling,
+        &row.code_version,
+    )
+}
+
 fn nan_if_undefined(value: f64) -> f64 {
     if value.is_finite() {
         value
@@ -987,6 +1000,39 @@ mod tests {
             render(&reversed.run(&query).expect("runs"), QueryFormat::Json),
             render(&output, QueryFormat::Json)
         );
+    }
+
+    #[test]
+    fn speedups_join_the_first_baseline_of_the_same_identity() {
+        let mut early = row("a", "Baseline", "0.1.0", sim(500));
+        early.figure = "early".to_owned();
+        let mut two_cores = sim(1500);
+        two_cores.cores.push(two_cores.cores[0].clone());
+        let rows = vec![
+            row("a", "Baseline", "0.1.0", sim(1000)),
+            row("a", "SPP", "0.1.0", sim(1500)),
+            // Sorts before "fig": the first baseline in canonical order.
+            early,
+            row("b", "Baseline", "0.1.0", sim(1000)),
+            row("b", "SPP", "0.1.0", two_cores),
+            row("c", "SPP", "0.1.0", sim(1500)),
+        ];
+        let view = ColumnarView::from_rows(rows);
+        let speedup_of = |workload: &str, prefetcher: &str| -> Vec<f64> {
+            (0..view.len())
+                .filter(|&index| {
+                    view.field_column(Field::Workload)[index] == workload
+                        && view.field_column(Field::Prefetcher)[index] == prefetcher
+                })
+                .map(|index| view.metric_column("speedup").expect("column")[index])
+                .collect()
+        };
+        let joined = speedup_of("a", "SPP");
+        assert_eq!(joined.len(), 1);
+        assert!((joined[0] - 3.0).abs() < 1e-9, "{joined:?}");
+        assert!(speedup_of("a", "Baseline").iter().all(|s| s.is_nan()));
+        assert!(speedup_of("b", "SPP")[0].is_nan(), "core-count mismatch");
+        assert!(speedup_of("c", "SPP")[0].is_nan(), "no baseline");
     }
 
     #[test]

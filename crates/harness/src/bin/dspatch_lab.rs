@@ -28,10 +28,10 @@
 //! functional warm-up (caches and predictor tables updated, timing
 //! skipped), then measures only `n` seed-placed intervals of `interval`
 //! accesses each, reporting mean ± 95% CI per row. Values take `k`/`m`/`g`
-//! suffixes. One neutral warm-up checkpoint per (workload, config) is
-//! shared across all prefetcher columns; `--checkpoint-dir DIR` caches
-//! those checkpoints on disk across runs. Sampled scales are
-//! single-core-only (mixes are rejected as a spec error).
+//! suffixes. One neutral warm-up checkpoint per (workload, config), an
+//! in-memory copy of the warmed machine, is shared across all prefetcher
+//! columns. Sampled scales are single-core-only (mixes are rejected as a
+//! spec error).
 //!
 //! Each cell runs once; a cell that panics is quarantined and the campaign
 //! completes without it. `--store DIR` opens the content-addressed result
@@ -70,7 +70,7 @@ fn usage() -> ! {
         "usage: dspatch-lab (--figure NAME | --spec FILE.json | --trace-file FILE | --list | --template)\n\
          \x20                [--scale smoke|quick|full] [--format table|json|csv] [--store DIR]\n\
          \x20                [--threads N] [--prefetchers KIND[,KIND...]] [--out PATH]\n\
-         \x20                [--sample warmup=N,interval=N,n=K[,seed=S]] [--checkpoint-dir DIR]\n\
+         \x20                [--sample warmup=N,interval=N,n=K[,seed=S]]\n\
          \x20      dspatch-lab query --store DIR [--where FIELD<OP>VALUE]... [--FIELD VALUE]...\n\
          \x20                [--group-by FIELDS] [--agg FN:METRIC | --trend METRIC] [--all-versions]\n\
          \x20                [--format table|json|csv] [--out PATH]\n\
@@ -113,7 +113,6 @@ fn main() {
     let mut out: Option<String> = None;
     let mut store: Option<String> = None;
     let mut sample: Option<String> = None;
-    let mut checkpoint_dir: Option<String> = None;
     let mut list = false;
     let mut template = false;
 
@@ -148,7 +147,6 @@ fn main() {
             "--out" => out = Some(value("--out")),
             "--store" => store = Some(value("--store")),
             "--sample" => sample = Some(value("--sample")),
-            "--checkpoint-dir" => checkpoint_dir = Some(value("--checkpoint-dir")),
             "--list" => list = true,
             "--template" => template = true,
             "--help" | "-h" => usage(),
@@ -186,12 +184,6 @@ fn main() {
         // dropped; refuse (exit 2) like every other misplaced flag.
         fail("--sample only applies to --figure and --spec runs");
     }
-    if checkpoint_dir.is_some() && sample.is_none() {
-        fail("--checkpoint-dir needs --sample (checkpoints exist only for sampled runs)");
-    }
-    if checkpoint_dir.is_some() && spec_path.is_none() {
-        fail("--checkpoint-dir only applies to --spec campaigns");
-    }
     if store.is_some() && spec_path.is_none() {
         // Without a campaign the store would be silently ignored; refuse
         // instead (exit 2) so a typo'd invocation can't masquerade as a
@@ -202,16 +194,9 @@ fn main() {
     // combination rather than silently dropping them (--out is meaningful:
     // `--template --out spec.json`).
     if (list || template)
-        && (scale_name.is_some()
-            || threads.is_some()
-            || format_set
-            || sample.is_some()
-            || checkpoint_dir.is_some())
+        && (scale_name.is_some() || threads.is_some() || format_set || sample.is_some())
     {
-        fail(
-            "--scale/--threads/--format/--sample/--checkpoint-dir do not apply to \
-             --list/--template",
-        );
+        fail("--scale/--threads/--format/--sample do not apply to --list/--template");
     }
     // Exit code 7 when the campaign completed but quarantined cells; set in
     // the --spec branch, applied after the report is written so partial
@@ -261,16 +246,14 @@ fn main() {
                             .and_then(|s| s.resolve().ok())
                             .and_then(|s| s.sampling)
                     }));
-                let mut opts = ExecOptions::default();
-                if let Some(dir) = &checkpoint_dir {
-                    opts.checkpoint_dir = Some(dir.into());
-                }
-                if let Some(dir) = &store {
-                    let result_store =
-                        dspatch_harness::ResultStore::open(std::path::Path::new(dir))
+                let opts = ExecOptions {
+                    store: store.as_ref().map(|dir| {
+                        let result_store = ResultStore::open(std::path::Path::new(dir))
                             .unwrap_or_else(|error| fail_typed(&error));
-                    opts.store = Some(std::sync::Arc::new(std::sync::Mutex::new(result_store)));
-                }
+                        std::sync::Arc::new(std::sync::Mutex::new(result_store))
+                    }),
+                    ..ExecOptions::default()
+                };
                 let result = run_campaign_with(&spec, &scale, &opts)
                     .unwrap_or_else(|error| fail_typed(&error));
                 eprintln!(
@@ -373,8 +356,8 @@ fn inventory() -> String {
     listing.push_str("  quick    e.g. --sample warmup=1k,interval=250,n=8\n");
     listing.push_str("  full     e.g. --sample warmup=8k,interval=1k,n=16\n");
     listing.push_str(
-        "  checkpoints: one neutral warm-up per (workload, config), shared across \
-         prefetcher columns; cache with --checkpoint-dir DIR\n",
+        "  checkpoints: one neutral warm-up per (workload, config), kept in memory \
+         and shared across prefetcher columns\n",
     );
     listing.push_str("\nPrefetchers (for --prefetchers and spec files):\n  ");
     let kinds: Vec<&str> = PrefetcherKind::ALL.iter().map(|k| k.spec_name()).collect();

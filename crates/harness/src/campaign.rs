@@ -12,8 +12,9 @@
 //!    however many cells request it. In particular the no-L2-prefetcher
 //!    **baseline is memoized**, so a figure with K prefetcher columns runs
 //!    each (workload, config) baseline once instead of K times;
-//! 2. **warm** (sampled scales only) computes one neutral warm-up checkpoint
-//!    per (target, config) group and forks it across the group's columns;
+//! 2. **warm** (sampled scales only) computes one neutral warm-up checkpoint,
+//!    an in-memory copy of the warmed machine, per (target, config) group
+//!    and shares it across the group's columns;
 //! 3. **run** simulates every job the result store does not already hold,
 //!    mix simulations first so they never strand at the tail of the queue;
 //! 4. **assemble** returns a [`CampaignResult`] holding every [`SimResult`]
@@ -51,9 +52,8 @@ use dspatch_prefetchers::{SmsConfig, SmsPrefetcher};
 use dspatch_sim::{DramSpeedGrade, SimResult, SimulationBuilder, SystemConfig};
 use dspatch_trace::workloads::{category_suite, memory_intensive_suite, suite, WorkloadCategory};
 use dspatch_trace::{heterogeneous_mixes, homogeneous_mixes, WorkloadMix, WorkloadSpec};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -986,10 +986,10 @@ pub struct ExecStats {
     pub store_hits: usize,
     /// Cells quarantined because their simulation panicked.
     pub quarantined: usize,
-    /// Warm-up checkpoints **computed** by this campaign (sampled scales
-    /// only). Checkpoints restored from `checkpoint_dir` do not count: the
-    /// counter proves one warm-up is shared across all prefetcher columns
-    /// of a (target, config) group, not recomputed per column.
+    /// Warm-up checkpoints computed by this campaign (sampled scales only),
+    /// one per (target, config) group the store did not serve: the counter
+    /// proves one warm-up is shared across all prefetcher columns of a
+    /// group, not recomputed per column.
     pub warmups_run: usize,
 }
 
@@ -1320,8 +1320,7 @@ pub type ProgressSink = std::sync::Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
 pub type SharedStore = std::sync::Arc<Mutex<crate::store::ResultStore>>;
 
 /// Execution options for [`run_campaign_with`]: optional fault injection,
-/// optional durable result store, optional progress callbacks and an
-/// optional checkpoint directory.
+/// optional durable result store and optional progress callbacks.
 #[derive(Clone, Default)]
 pub struct ExecOptions {
     /// Deterministic fault injection (tests only; `None` in production).
@@ -1336,10 +1335,6 @@ pub struct ExecOptions {
     pub store: Option<SharedStore>,
     /// Progress callback; see [`ProgressEvent`].
     pub progress: Option<ProgressSink>,
-    /// With a sampled scale: directory caching warm-up checkpoints across
-    /// processes (`<token>.ckpt` per (target, config, warm-up) identity).
-    /// A corrupt or version-skewed file is recomputed, never trusted.
-    pub checkpoint_dir: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for ExecOptions {
@@ -1348,7 +1343,6 @@ impl std::fmt::Debug for ExecOptions {
             .field("faults", &self.faults)
             .field("store", &self.store.as_ref().map(|_| "<store>"))
             .field("progress", &self.progress.as_ref().map(|_| "<sink>"))
-            .field("checkpoint_dir", &self.checkpoint_dir)
             .finish()
     }
 }
@@ -1439,14 +1433,14 @@ pub fn run_campaign(spec: &CampaignSpec, scale: &RunScale) -> Result<CampaignRes
 }
 
 /// [`run_campaign`] with explicit execution options: fault injection, the
-/// durable result store, progress callbacks and the checkpoint directory.
+/// durable result store and progress callbacks.
 ///
 /// # Errors
 ///
 /// * [`HarnessError::Spec`] — the spec is invalid (unknown workloads,
 ///   duplicate labels, core-count mismatches, ...).
 /// * [`HarnessError::Io`] — a fresh result cannot be appended to the
-///   store, or a warm-up checkpoint cannot be written.
+///   store.
 ///
 /// Quarantined cells are **not** errors: the campaign completes and reports
 /// them in [`CampaignResult::failures`].
@@ -1608,31 +1602,13 @@ fn run_job(job: &Job, scale: &RunScale, opts: &ExecOptions) -> JobOutcome {
     })
 }
 
-/// One warm-up group's result: the shared checkpoint plus whether it was
-/// freshly computed (`true`) or loaded from a checkpoint directory.
-type WarmupOutcome = Result<(std::sync::Arc<dspatch_sim::MachineState>, bool), HarnessError>;
-
-/// Computes (or loads from `checkpoint_dir`) the neutral warm-up checkpoint
-/// for one (target, config) group of a sampled campaign. Returns the state
-/// and whether it was computed fresh (`true`) rather than loaded from disk.
+/// Computes the neutral warm-up checkpoint for one (target, config) group
+/// of a sampled campaign from the group's first job.
 fn warm_group(
     job: &Job,
-    token: &str,
     plan: &SamplingPlan,
     scale: &RunScale,
-    checkpoint_dir: Option<&std::path::Path>,
-) -> WarmupOutcome {
-    let path = checkpoint_dir.map(|dir| dir.join(format!("{token}.ckpt")));
-    if let Some(path) = &path {
-        if let Ok(bytes) = std::fs::read(path) {
-            if let Ok(state) = dspatch_sim::MachineState::from_bytes(bytes) {
-                return Ok((std::sync::Arc::new(state), false));
-            }
-            // Corrupt, torn (a run killed inside the write below fails the
-            // body-length check) or version-skewed bytes: recompute below
-            // (the token embeds the snapshot format version, so skew is rare).
-        }
-    }
+) -> Result<std::sync::Arc<dspatch_sim::MachineState>, HarnessError> {
     let Target::Workload(workload) = &job.target else {
         return Err(HarnessError::spec(format!(
             "job '{}': sampled scales cannot warm mixes",
@@ -1641,16 +1617,7 @@ fn warm_group(
     };
     let source = Box::new(workload.source(scale.accesses_per_workload))
         as Box<dyn dspatch_trace::TraceSource>;
-    let state = crate::sampling::warmup_checkpoint(source, &job.config, plan)?;
-    if let Some(path) = &path {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| HarnessError::io(dir.display().to_string(), "create_dir", &e))?;
-        }
-        std::fs::write(path, state.as_bytes())
-            .map_err(|e| HarnessError::io(path.display().to_string(), "write", &e))?;
-    }
-    Ok((std::sync::Arc::new(state), true))
+    crate::sampling::warmup_checkpoint(source, &job.config, plan).map(std::sync::Arc::new)
 }
 
 /// The executor's one worker pool: up to `threads` scoped workers claim
@@ -1735,7 +1702,7 @@ fn execute_cells(
         None => vec![None; jobs.len()],
     };
     let warmups_run = match &scale.sampling {
-        Some(plan) => warm_jobs(&mut jobs, &replayed, plan, scale, opts)?,
+        Some(plan) => warm_jobs(&mut jobs, &replayed, plan, scale)?,
         None => 0,
     };
 
@@ -1844,36 +1811,35 @@ fn plan_jobs(cells: &[ResolvedCell], scale: &RunScale) -> (Vec<Job>, Vec<Campaig
 
 /// Warm phase (sampled scales): one neutral warm-up checkpoint per
 /// (target, config) group of the jobs the store did not serve, computed on
-/// the pool (or loaded from `checkpoint_dir`) and forked across every
-/// prefetcher column of the group. Returns how many were computed.
+/// the pool and shared across every prefetcher column of the group.
+/// Returns how many were computed.
 fn warm_jobs(
     jobs: &mut [Job],
     replayed: &[Option<SimResult>],
     plan: &SamplingPlan,
     scale: &RunScale,
-    opts: &ExecOptions,
 ) -> Result<usize, HarnessError> {
-    let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of: HashMap<String, usize> = HashMap::new();
     for (index, job) in jobs.iter().enumerate() {
         if replayed[index].is_none() {
-            let token = crate::sampling::checkpoint_token(&job.target.key(), &job.config, plan);
-            groups.entry(token).or_default().push(index);
+            let key = format!("{}|{:?}", job.target.key(), job.config);
+            let group = *group_of.entry(key).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[group].push(index);
         }
     }
-    let groups: Vec<(String, Vec<usize>)> = groups.into_iter().collect();
     let warmed = drain(scale.threads, groups.len(), |group| {
-        let (token, indices) = &groups[group];
-        let checkpoint_dir = opts.checkpoint_dir.as_deref();
-        warm_group(&jobs[indices[0]], token, plan, scale, checkpoint_dir)
+        warm_group(&jobs[groups[group][0]], plan, scale)
     })?;
-    let mut computed = 0;
-    for ((_, indices), (state, fresh)) in groups.iter().zip(warmed) {
-        computed += usize::from(fresh);
+    for (indices, state) in groups.iter().zip(warmed) {
         for &index in indices {
             jobs[index].warm = Some(state.clone());
         }
     }
-    Ok(computed)
+    Ok(groups.len())
 }
 
 /// Run phase: drains the jobs the store did not serve on the pool, in cost
@@ -2058,71 +2024,23 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_dir_reuses_warmups_across_campaigns() {
-        let dir = std::env::temp_dir().join(format!("dspatch_ckpt_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = CampaignSpec::single_cell("ckpt", sampled_cell());
-        let opts = ExecOptions {
-            checkpoint_dir: Some(dir.clone()),
-            ..ExecOptions::default()
-        };
-        let first = run_campaign_with(&spec, &sampled_tiny(), &opts).expect("valid spec");
-        assert_eq!(first.stats.warmups_run, 1);
-        // Second process incarnation: the warm-up loads from disk.
-        let second = run_campaign_with(&spec, &sampled_tiny(), &opts).expect("valid spec");
-        assert_eq!(second.stats.warmups_run, 0);
-        assert_eq!(first.sims, second.sims);
-        // A corrupt checkpoint is recomputed, never trusted.
-        for entry in std::fs::read_dir(&dir).expect("dir exists") {
-            std::fs::write(entry.expect("entry").path(), b"garbage").expect("writable");
-        }
-        let third = run_campaign_with(&spec, &sampled_tiny(), &opts).expect("valid spec");
-        assert_eq!(third.stats.warmups_run, 1);
-        assert_eq!(first.sims, third.sims);
-        // So is a file torn mid-write (a run killed inside the write): its
-        // header is intact, but it must not reach any column's restore.
-        for entry in std::fs::read_dir(&dir).expect("dir exists") {
-            let path = entry.expect("entry").path();
-            let bytes = std::fs::read(&path).expect("readable");
-            std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("writable");
-        }
-        let fourth = run_campaign_with(&spec, &sampled_tiny(), &opts).expect("valid spec");
-        assert_eq!(fourth.stats.warmups_run, 1);
-        assert!(fourth.failures.is_empty(), "{:?}", fourth.failures);
-        assert_eq!(first.sims, fourth.sims);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn an_unwritable_checkpoint_dir_fails_before_any_cell_runs() {
-        // A regular file where the checkpoint directory's parent should be:
-        // the warm-up cannot be written, so the campaign stops with an I/O
-        // error before the run phase announces anything.
-        let file = std::env::temp_dir().join(format!("dspatch_ckpt_file_{}", std::process::id()));
-        std::fs::write(&file, b"not a directory").expect("temp dir is writable");
-        let events = std::sync::Arc::new(AtomicUsize::new(0));
-        let seen = events.clone();
-        let opts = ExecOptions {
-            checkpoint_dir: Some(file.join("ckpt")),
-            progress: Some(std::sync::Arc::new(move |_: &ProgressEvent| {
-                seen.fetch_add(1, Ordering::Relaxed);
-            })),
-            ..ExecOptions::default()
-        };
-        let spec = CampaignSpec::single_cell("ckpt", sampled_cell());
-        let err = run_campaign_with(&spec, &sampled_tiny(), &opts).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                HarnessError::Io {
-                    op: "create_dir",
-                    ..
+    fn the_pool_returns_the_error_of_a_failing_item() {
+        for threads in [1, 2] {
+            let failed = drain(threads, 8, |index| {
+                if index == 3 {
+                    Err(HarnessError::spec("item 3 failed"))
+                } else {
+                    Ok(index)
                 }
-            ),
-            "{err}"
-        );
-        assert_eq!(events.load(Ordering::Relaxed), 0, "no Started, no cell");
-        let _ = std::fs::remove_file(&file);
+            });
+            match failed {
+                Err(HarnessError::Spec { message }) => assert_eq!(message, "item 3 failed"),
+                other => panic!("{threads} thread(s): expected the item's error, got {other:?}"),
+            }
+            // Without an error every item comes back, in index order.
+            let doubled = drain(threads, 8, |index| Ok(index * 2)).expect("no item fails");
+            assert_eq!(doubled, (0..8).map(|index| index * 2).collect::<Vec<_>>());
+        }
     }
 
     #[test]

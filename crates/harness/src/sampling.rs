@@ -11,11 +11,12 @@
 //! what the shortcut cost in fidelity.
 //!
 //! Every sampled run starts from one neutral warm-up: it runs with the
-//! **null** L2 prefetcher and is captured as a [`MachineState`] checkpoint
-//! ([`warmup_checkpoint`]), which each prefetcher column restores before
-//! measuring with its own, fresh predictor ([`run_sampled`]). The campaign
-//! executor computes that checkpoint once per (workload, config) and
-//! shares it across all prefetcher columns.
+//! **null** L2 prefetcher and is captured as a [`MachineState`] checkpoint,
+//! an in-memory copy of the warmed machine ([`warmup_checkpoint`]), which
+//! each prefetcher column restores before measuring with its own, fresh
+//! predictor ([`run_sampled`]). The campaign executor computes that
+//! checkpoint once per (workload, config) and shares it across all
+//! prefetcher columns.
 
 use crate::error::HarnessError;
 use crate::runner::RunScale;
@@ -399,32 +400,6 @@ fn add_cache_stats(into: &mut dspatch_sim::CacheStats, from: &dspatch_sim::Cache
     into.prefetch_unused_evictions += from.prefetch_unused_evictions;
 }
 
-/// A warm checkpoint's identity for `--checkpoint-dir`: everything that
-/// changes the warm state — target, config, warm-up length — plus the
-/// snapshot format and code versions, hashed into a filename-safe token.
-/// Prefetcher columns are deliberately absent (warm-up is
-/// prefetcher-neutral), as are interval knobs (they only shape
-/// measurement, not the warm state).
-pub fn checkpoint_token(target_key: &str, config: &SystemConfig, plan: &SamplingPlan) -> String {
-    let identity = checkpoint_identity(target_key, config, plan);
-    format!("{:016x}", crate::store::fnv1a(identity.as_bytes()))
-}
-
-/// The string [`checkpoint_token`] hashes. The code version is part of it,
-/// as in [`crate::store::cell_fingerprint`]: a build that changes what the
-/// warm-up leaves in the caches or DRAM without changing the byte layout
-/// must not restore an older build's checkpoint.
-fn checkpoint_identity(target_key: &str, config: &SystemConfig, plan: &SamplingPlan) -> String {
-    format!(
-        "ckpt-v{}|code-v{}|{}|{:?}|w{}",
-        dspatch_sim::snapshot::FORMAT_VERSION,
-        crate::store::code_version(),
-        target_key,
-        config,
-        plan.warmup_accesses
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,28 +505,5 @@ mod tests {
             run_sampled_workload(workload, PrefetcherKind::Spp.build_any(), &config, &scale)
                 .unwrap();
         assert_eq!(sampled, standalone);
-    }
-
-    #[test]
-    fn checkpoint_token_separates_configs_and_warmups() {
-        let config = dspatch_sim::SystemConfig::single_thread();
-        let token = checkpoint_token("w:a", &config, &plan());
-        assert_eq!(token, checkpoint_token("w:a", &config, &plan()));
-        assert_ne!(token, checkpoint_token("w:b", &config, &plan()));
-        let longer = SamplingPlan {
-            warmup_accesses: 4_000,
-            ..plan()
-        };
-        assert_ne!(token, checkpoint_token("w:a", &config, &longer));
-    }
-
-    #[test]
-    fn checkpoint_identity_includes_the_code_version() {
-        let config = dspatch_sim::SystemConfig::single_thread();
-        let identity = checkpoint_identity("w:a", &config, &plan());
-        let code = format!("|code-v{}|", crate::store::code_version());
-        assert!(identity.contains(&code), "{identity}");
-        let format = format!("ckpt-v{}|", dspatch_sim::snapshot::FORMAT_VERSION);
-        assert!(identity.starts_with(&format), "{identity}");
     }
 }

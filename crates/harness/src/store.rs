@@ -78,7 +78,7 @@ pub fn compare_versions(a: &str, b: &str) -> std::cmp::Ordering {
 }
 
 /// FNV-1a 64-bit over a byte stream — stable, dependency-free fingerprint.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &byte in bytes {
         hash ^= u64::from(byte);

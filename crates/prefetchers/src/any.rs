@@ -14,9 +14,7 @@
 use crate::composite::AdjunctPrefetcher;
 use crate::{BopPrefetcher, SmsPrefetcher, SppPrefetcher, StreamPrefetcher, StridePrefetcher};
 use dspatch::DsPatch;
-use dspatch_types::{
-    LineAddr, MemoryAccess, NullPrefetcher, PrefetchContext, PrefetchSink, Prefetcher,
-};
+use dspatch_types::{MemoryAccess, NullPrefetcher, PrefetchContext, PrefetchSink, Prefetcher};
 
 /// SPP with DSPatch as a lightweight adjunct (the paper's headline
 /// configuration, including the Figure 19 ablation variants).
@@ -134,10 +132,6 @@ impl Prefetcher for AnyPrefetcher {
     #[inline]
     fn on_access(&mut self, access: &MemoryAccess, ctx: &PrefetchContext, out: &mut PrefetchSink) {
         dispatch!(self, p => p.on_access(access, ctx, out));
-    }
-
-    fn on_fill(&mut self, line: LineAddr, was_prefetch: bool) {
-        dispatch!(self, p => p.on_fill(line, was_prefetch));
     }
 
     fn storage_bits(&self) -> u64 {

@@ -5,7 +5,7 @@
 //! and their prefetch candidates are merged, de-duplicated and issued
 //! together. The same mechanism evaluates BOP+SPP and SMS+SPP (Figure 14).
 
-use dspatch_types::{LineAddr, MemoryAccess, PrefetchContext, PrefetchSink, Prefetcher};
+use dspatch_types::{MemoryAccess, PrefetchContext, PrefetchSink, Prefetcher};
 
 /// Runs a primary prefetcher and an adjunct side by side, merging requests.
 ///
@@ -112,11 +112,6 @@ impl<P: Prefetcher, A: Prefetcher> Prefetcher for AdjunctPrefetcher<P, A> {
             }
             out.truncate(write);
         }
-    }
-
-    fn on_fill(&mut self, line: LineAddr, was_prefetch: bool) {
-        self.primary.on_fill(line, was_prefetch);
-        self.adjunct.on_fill(line, was_prefetch);
     }
 
     fn storage_bits(&self) -> u64 {

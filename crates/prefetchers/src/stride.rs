@@ -6,7 +6,6 @@
 //! consecutive accesses; once the stride has been confirmed twice, the
 //! prefetcher runs `degree` strides ahead of the demand stream.
 
-use dspatch_types::snapshot::{SnapshotError, StateReader, StateWriter};
 use dspatch_types::{
     FillLevel, LineAddr, MemoryAccess, Pc, PrefetchContext, PrefetchRequest, PrefetchSink,
     Prefetcher,
@@ -165,46 +164,6 @@ impl Prefetcher for StridePrefetcher {
         // Per entry: PC tag (16b folded), last line (42b), stride (7b signed),
         // confidence (2b), LRU (6b).
         self.config.tracked_pcs as u64 * (16 + 42 + 7 + 2 + 6)
-    }
-}
-
-/// Checkpoint support: the L1 stride prefetcher is the one predictor a
-/// machine checkpoint holds (every L2 prefetcher column starts fresh).
-impl StridePrefetcher {
-    /// Writes the tracked-PC table and the LRU clock, never the
-    /// configuration, which the restoring side rebuilds.
-    pub fn save_state(&self, writer: &mut StateWriter) {
-        writer.put_len(self.entries.len());
-        for entry in &self.entries {
-            writer.put_u64(entry.pc.as_u64());
-            writer.put_u64(entry.last_line.as_u64());
-            writer.put_i64(entry.stride);
-            writer.put_u8(entry.confidence);
-            writer.put_u64(entry.last_use);
-        }
-        writer.put_u64(self.clock);
-    }
-
-    /// Restores what [`StridePrefetcher::save_state`] wrote into a
-    /// prefetcher built with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] on truncated or invalid bytes.
-    pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let len = reader.get_len()?;
-        self.entries.clear();
-        for _ in 0..len {
-            self.entries.push(StrideEntry {
-                pc: Pc::new(reader.get_u64()?),
-                last_line: LineAddr::new(reader.get_u64()?),
-                stride: reader.get_i64()?,
-                confidence: reader.get_u8()?,
-                last_use: reader.get_u64()?,
-            });
-        }
-        self.clock = reader.get_u64()?;
-        Ok(())
     }
 }
 

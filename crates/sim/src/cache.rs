@@ -9,7 +9,6 @@
 //! position, standing in for the prefetch-aware dead-block-oriented LLC
 //! policy of Table 2.
 
-use dspatch_types::snapshot::{SnapshotError, StateReader, StateWriter};
 use dspatch_types::{LineAddr, CACHE_LINE_BYTES};
 
 /// Geometry and latency of one cache level.
@@ -430,61 +429,17 @@ impl Cache {
         self.tags.iter().filter(|&&t| t != EMPTY_TAG).count()
     }
 
+    /// Bytes of line tags and LRU stamps held, the bulk of a machine
+    /// checkpoint (see [`crate::snapshot`]).
+    pub(crate) fn state_bytes(&self) -> usize {
+        std::mem::size_of_val(self.tags.as_slice()) + std::mem::size_of_val(self.stamps.as_slice())
+    }
+
     /// Zeroes the statistics while keeping contents, LRU state and the
     /// clock — the sampling engine calls this at each measurement-interval
     /// boundary so per-interval stats reflect only the interval.
     pub(crate) fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-    }
-}
-
-/// Checkpoint support (see [`crate::snapshot`]).
-impl Cache {
-    /// Writes tags, LRU stamps, the clock and the statistics, never the
-    /// configuration, which the restoring side rebuilds.
-    pub(crate) fn save_state(&self, writer: &mut StateWriter) {
-        writer.put_len(self.tags.len());
-        for tag in &self.tags {
-            writer.put_u64(*tag);
-        }
-        for stamp in &self.stamps {
-            writer.put_u64(*stamp);
-        }
-        writer.put_u64(self.clock);
-        writer.put_u64(self.stats.demand_hits);
-        writer.put_u64(self.stats.demand_misses);
-        writer.put_u64(self.stats.demand_fills);
-        writer.put_u64(self.stats.prefetch_fills);
-        writer.put_u64(self.stats.prefetch_first_uses);
-        writer.put_u64(self.stats.prefetch_unused_evictions);
-    }
-
-    /// Restores what [`Cache::save_state`] wrote into a cache of the same
-    /// geometry.
-    pub(crate) fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let slots = reader.get_len()?;
-        if slots != self.tags.len() {
-            return Err(SnapshotError::Invalid(format!(
-                "cache {:?} has {} slots but the snapshot holds {}",
-                self.config.name,
-                self.tags.len(),
-                slots
-            )));
-        }
-        for tag in &mut self.tags {
-            *tag = reader.get_u64()?;
-        }
-        for stamp in &mut self.stamps {
-            *stamp = reader.get_u64()?;
-        }
-        self.clock = reader.get_u64()?;
-        self.stats.demand_hits = reader.get_u64()?;
-        self.stats.demand_misses = reader.get_u64()?;
-        self.stats.demand_fills = reader.get_u64()?;
-        self.stats.prefetch_fills = reader.get_u64()?;
-        self.stats.prefetch_first_uses = reader.get_u64()?;
-        self.stats.prefetch_unused_evictions = reader.get_u64()?;
-        Ok(())
     }
 }
 

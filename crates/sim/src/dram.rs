@@ -7,7 +7,6 @@
 //! Section 3.2).
 
 use crate::config::DramConfig;
-use dspatch_types::snapshot::{SnapshotError, StateReader, StateWriter};
 use dspatch_types::{BandwidthQuartile, LineAddr};
 
 /// Statistics accumulated by the DRAM model.
@@ -372,74 +371,6 @@ impl Dram {
         }
         self.tracker.window_end = self.tracker.window_cycles;
         self.tracker.current_window_cas = 0;
-    }
-}
-
-/// Checkpoint support (see [`crate::snapshot`]).
-impl Dram {
-    /// Writes bank, bus and bandwidth-tracker state and the statistics,
-    /// never the configuration, which the restoring side rebuilds.
-    pub(crate) fn save_state(&self, writer: &mut StateWriter) {
-        writer.put_len(self.channels.len());
-        for channel in &self.channels {
-            writer.put_len(channel.banks.len());
-            for bank in &channel.banks {
-                writer.put_opt_u64(bank.open_row);
-                writer.put_u64(bank.busy_until);
-            }
-            writer.put_u64(channel.data_bus_free);
-            writer.put_u64(channel.demand_bus_free);
-        }
-        writer.put_u64(self.tracker.window_end);
-        writer.put_f64(self.tracker.counter);
-        writer.put_u64(self.tracker.current_window_cas);
-        writer.put_u8(self.tracker.quartile.as_bits());
-        writer.put_u64(self.stats.cas_commands);
-        writer.put_u64(self.stats.row_hits);
-        writer.put_u64(self.stats.row_misses);
-        writer.put_u64(self.stats.prefetch_accesses);
-        writer.put_f64(self.stats.utilization_sum);
-        writer.put_u64(self.stats.windows);
-    }
-
-    /// Restores what [`Dram::save_state`] wrote into a DRAM model of the
-    /// same shape.
-    pub(crate) fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let channels = reader.get_len()?;
-        if channels != self.channels.len() {
-            return Err(SnapshotError::Invalid(format!(
-                "DRAM has {} channels but the snapshot holds {}",
-                self.channels.len(),
-                channels
-            )));
-        }
-        for channel in &mut self.channels {
-            let banks = reader.get_len()?;
-            if banks != channel.banks.len() {
-                return Err(SnapshotError::Invalid(format!(
-                    "DRAM channel has {} banks but the snapshot holds {}",
-                    channel.banks.len(),
-                    banks
-                )));
-            }
-            for bank in &mut channel.banks {
-                bank.open_row = reader.get_opt_u64()?;
-                bank.busy_until = reader.get_u64()?;
-            }
-            channel.data_bus_free = reader.get_u64()?;
-            channel.demand_bus_free = reader.get_u64()?;
-        }
-        self.tracker.window_end = reader.get_u64()?;
-        self.tracker.counter = reader.get_f64()?;
-        self.tracker.current_window_cas = reader.get_u64()?;
-        self.tracker.quartile = BandwidthQuartile::from_bits(reader.get_u8()?);
-        self.stats.cas_commands = reader.get_u64()?;
-        self.stats.row_hits = reader.get_u64()?;
-        self.stats.row_misses = reader.get_u64()?;
-        self.stats.prefetch_accesses = reader.get_u64()?;
-        self.stats.utilization_sum = reader.get_f64()?;
-        self.stats.windows = reader.get_u64()?;
-        Ok(())
     }
 }
 

@@ -28,7 +28,7 @@
 use crate::cache::Cache;
 use crate::config::SystemConfig;
 use crate::dram::Dram;
-use crate::snapshot::MachineState;
+use crate::snapshot::{CoreSnapshot, MachineState};
 use crate::stats::{CoreResult, PollutionBreakdown, PrefetchAccounting, SimResult};
 use crate::tables::{LineTable, ReadyQueue, Slot};
 use dspatch_prefetchers::{AnyPrefetcher, StrideConfig, StridePrefetcher};
@@ -793,8 +793,7 @@ impl Machine {
 }
 
 /// Sampled-simulation support: functional warm-up, bounded measurement
-/// intervals and machine checkpoints. The checkpoint container and its
-/// byte-layout versioning live in [`crate::snapshot`].
+/// intervals and machine checkpoints ([`crate::snapshot`]).
 impl Machine {
     /// Consumes up to `accesses` trace records per core in **functional
     /// warm-up mode**: caches and prefetcher pattern tables are updated
@@ -907,16 +906,17 @@ impl Machine {
         }
     }
 
-    /// Serializes the machine into a versioned [`MachineState`] checkpoint.
+    /// Copies the machine into a [`MachineState`] checkpoint.
     ///
     /// A checkpoint is the **neutral warm-up** and nothing else: every
     /// core's L2 prefetcher must be the null one, so the checkpoint holds
-    /// caches, DRAM, the L1 stride prefetcher, accounting and the trace
-    /// position but no L2 predictor. Only a **functional boundary** can be
-    /// captured — no ROB/load-buffer occupancy, no in-flight DRAM fills, no
-    /// outstanding prefetch MSHRs — which is exactly the state
-    /// [`Machine::run_functional`] and [`Machine::run_interval`] leave
-    /// behind. Anything else is rejected with [`SnapshotError::Unsupported`].
+    /// the configuration, caches, DRAM, the L1 stride prefetcher,
+    /// accounting and the trace position but no L2 predictor. Only a
+    /// **functional boundary** can be captured — no ROB/load-buffer
+    /// occupancy, no in-flight DRAM fills, no outstanding prefetch MSHRs —
+    /// which is exactly the state [`Machine::run_functional`] and
+    /// [`Machine::run_interval`] leave behind. Anything else is rejected
+    /// with [`SnapshotError::Unsupported`].
     pub fn capture(&self) -> Result<MachineState, SnapshotError> {
         if !self.fab.pending.is_empty() || !self.fab.ready_queue.is_empty() {
             return Err(SnapshotError::Unsupported(
@@ -941,44 +941,33 @@ impl Machine {
                 )));
             }
         }
-        let mut writer = MachineState::writer();
-        writer.put_u64(self.cycle);
-        writer.put_len(self.cores.len());
-        for core in &self.cores {
-            writer.put_u64(core.records_consumed);
-            writer.put_u64(core.instructions);
-            writer.put_u64(core.finish_cycle);
-            writer.put_u64(core.last_memory_completion);
-            core.l1.save_state(&mut writer);
-            core.l2.save_state(&mut writer);
-            match core.l1_prefetcher.as_ref() {
-                Some(prefetcher) => {
-                    writer.put_bool(true);
-                    prefetcher.save_state(&mut writer);
-                }
-                None => writer.put_bool(false),
-            }
-            let acc = &core.accounting;
-            writer.put_u64(acc.l2_demand_accesses);
-            writer.put_u64(acc.covered);
-            writer.put_u64(acc.uncovered);
-            writer.put_u64(acc.prefetches_issued);
-            writer.put_u64(acc.prefetches_used);
-            writer.put_u64(acc.prefetches_unused);
-        }
-        self.fab.llc.save_state(&mut writer);
-        self.fab.dram.save_state(&mut writer);
-        let counts = &self.fab.pollution.counts;
-        writer.put_u64(counts.no_reuse);
-        writer.put_u64(counts.prefetched_before_use);
-        writer.put_u64(counts.bad_pollution);
-        Ok(MachineState::from_writer(writer))
+        Ok(MachineState {
+            config: self.config.clone(),
+            cycle: self.cycle,
+            cores: self
+                .cores
+                .iter()
+                .map(|core| CoreSnapshot {
+                    records_consumed: core.records_consumed,
+                    instructions: core.instructions,
+                    finish_cycle: core.finish_cycle,
+                    last_memory_completion: core.last_memory_completion,
+                    l1: core.l1.clone(),
+                    l2: core.l2.clone(),
+                    l1_prefetcher: core.l1_prefetcher.clone(),
+                    accounting: core.accounting,
+                })
+                .collect(),
+            llc: self.fab.llc.clone(),
+            dram: self.fab.dram.clone(),
+            pollution: self.fab.pollution.counts,
+        })
     }
 
     /// Restores a [`MachineState`] captured from a machine with the same
     /// configuration, core count and traces. The trace position is
     /// re-derived by replaying each source to the checkpoint's consumed
-    /// count (generation only — no cache simulation), so snapshots stay
+    /// count (generation only — no cache simulation), so checkpoints stay
     /// small and valid for any `TraceSource`.
     ///
     /// The checkpoint holds no L2 predictor, so this machine's L2
@@ -987,68 +976,51 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError`] on a header/layout mismatch or when the
-    /// machine shape disagrees with the checkpoint. The machine may be
-    /// partially overwritten after an error and must be discarded.
+    /// Returns [`SnapshotError::Invalid`] when the checkpoint was captured
+    /// under another [`SystemConfig`] or core count, or a trace is shorter
+    /// than the checkpoint's position. A machine refused for a short trace
+    /// is partially overwritten and must be discarded.
     pub fn restore(&mut self, state: &MachineState) -> Result<(), SnapshotError> {
-        let mut reader = state.body_reader()?;
-        self.cycle = reader.get_u64()?;
-        let core_count = reader.get_len()?;
-        if core_count != self.cores.len() {
+        if state.config != self.config {
+            return Err(SnapshotError::Invalid(
+                "snapshot was captured under another system configuration".to_owned(),
+            ));
+        }
+        if state.cores.len() != self.cores.len() {
             return Err(SnapshotError::Invalid(format!(
-                "snapshot holds {core_count} cores, machine has {}",
+                "snapshot holds {} cores, machine has {}",
+                state.cores.len(),
                 self.cores.len()
             )));
         }
-        for core in &mut self.cores {
-            let records_consumed = reader.get_u64()?;
-            core.instructions = reader.get_u64()?;
-            core.finish_cycle = reader.get_u64()?;
-            core.last_memory_completion = reader.get_u64()?;
-            core.l1.load_state(&mut reader)?;
-            core.l2.load_state(&mut reader)?;
-            let has_stride = reader.get_bool()?;
-            match (has_stride, core.l1_prefetcher.as_mut()) {
-                (true, Some(prefetcher)) => prefetcher.load_state(&mut reader)?,
-                (false, None) => {}
-                _ => {
-                    return Err(SnapshotError::Invalid(
-                        "snapshot and machine disagree on the L1 stride prefetcher".to_owned(),
-                    ))
-                }
-            }
-            core.accounting = PrefetchAccounting {
-                l2_demand_accesses: reader.get_u64()?,
-                covered: reader.get_u64()?,
-                uncovered: reader.get_u64()?,
-                prefetches_issued: reader.get_u64()?,
-                prefetches_used: reader.get_u64()?,
-                prefetches_unused: reader.get_u64()?,
-            };
+        self.cycle = state.cycle;
+        for (core, saved) in self.cores.iter_mut().zip(&state.cores) {
+            core.instructions = saved.instructions;
+            core.finish_cycle = saved.finish_cycle;
+            core.last_memory_completion = saved.last_memory_completion;
+            core.l1.clone_from(&saved.l1);
+            core.l2.clone_from(&saved.l2);
+            core.l1_prefetcher.clone_from(&saved.l1_prefetcher);
+            core.accounting = saved.accounting;
             core.source.reset();
-            for _ in 0..records_consumed {
+            for _ in 0..saved.records_consumed {
                 if core.source.next_record().is_none() {
                     return Err(SnapshotError::Invalid(format!(
-                        "trace '{}' is shorter than the snapshot's {records_consumed} consumed records",
-                        core.workload
+                        "trace '{}' is shorter than the snapshot's {} consumed records",
+                        core.workload, saved.records_consumed
                     )));
                 }
             }
-            core.records_consumed = records_consumed;
+            core.records_consumed = saved.records_consumed;
             core.pending = core.source.next_record();
             core.gap_remaining = core.pending.map_or(0, |r| r.gap);
             core.record_budget = u64::MAX;
             core.reset_timing();
         }
-        self.fab.llc.load_state(&mut reader)?;
-        self.fab.dram.load_state(&mut reader)?;
-        self.fab.pollution.reset(PollutionBreakdown {
-            no_reuse: reader.get_u64()?,
-            prefetched_before_use: reader.get_u64()?,
-            bad_pollution: reader.get_u64()?,
-        });
+        self.fab.llc.clone_from(&state.llc);
+        self.fab.dram.clone_from(&state.dram);
+        self.fab.pollution.reset(state.pollution);
         self.fab.reset_timing();
-        reader.expect_end()?;
         Ok(())
     }
 }
@@ -2073,13 +2045,23 @@ mod tests {
         restored.restore(&state).unwrap();
         let resumed = restored.run_interval(1_000);
         assert_eq!(uninterrupted, resumed);
+    }
 
-        // A disk round trip of the checkpoint changes nothing.
-        let reloaded =
-            crate::snapshot::MachineState::from_bytes(state.as_bytes().to_vec()).unwrap();
-        let mut from_disk = machine();
-        from_disk.restore(&reloaded).unwrap();
-        assert_eq!(from_disk.run_interval(1_000), uninterrupted);
+    #[test]
+    fn restore_refuses_a_checkpoint_of_another_config() {
+        // Same cache and DRAM shapes, another speed grade: the checkpoint's
+        // DRAM timing would not be this machine's.
+        let machine = |config: SystemConfig| {
+            SimulationBuilder::new(config)
+                .with_core(stream_trace(4_000, 42), NullPrefetcher::new())
+                .into_machine()
+        };
+        let mut warm = machine(SystemConfig::single_thread());
+        warm.run_functional(1_000);
+        let state = warm.capture().unwrap();
+        let faster = SystemConfig::single_thread().with_dram(1, DramSpeedGrade::Ddr4_2400);
+        let err = machine(faster).restore(&state).unwrap_err();
+        assert!(matches!(err, SnapshotError::Invalid(_)), "{err}");
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub use bandwidth::BandwidthQuartile;
 pub use prefetch::{
     FillLevel, NullPrefetcher, PrefetchContext, PrefetchRequest, PrefetchSink, Prefetcher,
 };
-pub use snapshot::{SnapshotError, StateReader, StateWriter};
+pub use snapshot::SnapshotError;

@@ -272,13 +272,6 @@ pub trait Prefetcher: Send {
         sink.into_vec()
     }
 
-    /// Notifies the prefetcher that `line` was filled into the attached
-    /// cache. `was_prefetch` distinguishes prefetch fills from demand fills.
-    /// The default implementation ignores the notification.
-    fn on_fill(&mut self, line: LineAddr, was_prefetch: bool) {
-        let _ = (line, was_prefetch);
-    }
-
     /// Hardware storage budget of the prefetcher in bits, used to reproduce
     /// the storage columns of Tables 1 and 3.
     fn storage_bits(&self) -> u64;

@@ -134,12 +134,14 @@ fn removed_multi_core_worker_knobs_fail_loudly() {
 
 #[test]
 fn removed_resume_flags_are_unknown_arguments() {
-    // A killed campaign resumes by re-running it with the same --store, and
-    // a cell runs once, so there is nothing to retry.
+    // A killed campaign resumes by re-running it with the same --store, a
+    // cell runs once, so there is nothing to retry, and a warm-up
+    // checkpoint lives in memory only.
     for (flag, value) in [
         ("--journal", "run.jsonl"),
         ("--resume", "run.jsonl"),
         ("--retries", "2"),
+        ("--checkpoint-dir", "ckpts"),
     ] {
         let (code, stderr) = dspatch_lab_fails(&["--figure", "table1", flag, value]);
         assert_eq!(code, 2, "{flag}: {stderr}");
@@ -237,29 +239,6 @@ fn invalid_spec_files_exit_3_with_one_prefix() {
     let (code, stderr) = dspatch_lab_fails(&["--spec", valid, "--scale", "huge"]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("unknown scale 'huge'"), "{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn an_unwritable_checkpoint_dir_exits_4() {
-    let dir = std::env::temp_dir().join("dspatch-lab-cli-checkpoint-file");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let spec = dir.join("spec.json");
-    std::fs::write(&spec, SMOKE_SPEC).expect("write spec");
-    // The checkpoint directory would live under a regular file.
-    let file = dir.join("file");
-    std::fs::write(&file, "not a directory").expect("write file");
-    let (code, stderr) = dspatch_lab_fails(&[
-        "--spec",
-        spec.to_str().expect("utf-8 path"),
-        "--sample",
-        "warmup=100,interval=100,n=2",
-        "--checkpoint-dir",
-        file.join("ckpt").to_str().expect("utf-8 path"),
-    ]);
-    assert_eq!(code, 4, "{stderr}");
-    assert!(stderr.contains("create_dir failed"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -5,12 +5,12 @@
 //!
 //! 1. **Bit-identical restore** — a checkpoint holds only the neutral
 //!    (null-L2-prefetcher) warm-up. A baseline machine checkpointed after
-//!    functional warm-up and restored from the serialized bytes produces
-//!    *exactly* the measurement the original machine does (caches, DRAM,
-//!    the L1 stride prefetcher, accounting and trace position all travel
-//!    through the public byte format), every other registry prefetcher's
-//!    capture is refused, and the neutral checkpoint restores into every
-//!    prefetcher column.
+//!    functional warm-up and restored into a fresh machine captures back
+//!    to the same checkpoint and produces *exactly* the measurement the
+//!    original machine does (caches, DRAM, the L1 stride prefetcher,
+//!    accounting and trace position all travel in the copy), every other
+//!    registry prefetcher's capture is refused, and the neutral checkpoint
+//!    restores into every prefetcher column.
 //! 2. **CI coverage** — on a pinned (workload, prefetcher) matrix, the
 //!    sampled run's 95% confidence interval covers the exact run's IPC.
 //!    Everything is seed-deterministic, so this is a golden test, not a
@@ -19,7 +19,7 @@
 
 use dspatch_harness::runner::{run_workload, PrefetcherKind, RunScale};
 use dspatch_harness::sampling::{run_sampled_workload, warmup_checkpoint, SamplingPlan};
-use dspatch_sim::{MachineState, SimulationBuilder, SystemConfig};
+use dspatch_sim::{SimulationBuilder, SystemConfig};
 use dspatch_trace::workloads::{category_suite, WorkloadCategory};
 use dspatch_types::SnapshotError;
 
@@ -65,13 +65,16 @@ fn only_the_neutral_machine_can_be_checkpointed() {
         }
         let state = captured.expect("functional boundary is capturable");
 
-        // Through the full byte format, as a checkpoint file would travel.
-        let bytes = state.as_bytes().to_vec();
-        let reloaded = MachineState::from_bytes(bytes).expect("bytes validate");
-        assert_eq!(state, reloaded, "byte round trip");
-
         let mut restored = machine();
-        restored.restore(&reloaded).expect("restore succeeds");
+        restored.restore(&state).expect("restore succeeds");
+        let recaptured = restored
+            .capture()
+            .expect("a restored machine is capturable");
+        // Not assert_eq!: a checkpoint's Debug rendering is megabytes long.
+        assert!(
+            recaptured == state,
+            "capture after restore must give the checkpoint back"
+        );
         assert_eq!(
             original.run_interval(2_000),
             restored.run_interval(2_000),
