@@ -3,8 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! dspatch-serve --store DIR [--addr IP] [--port N] [--http-threads N]
-//!               [--queue N] [--rate-burst N] [--rate-per-sec F]
+//! dspatch-serve --store DIR [--addr IP] [--port N] [--http-threads N] [--queue N]
 //! ```
 //!
 //! Binds, prints `dspatch-serve listening on http://ADDR:PORT` to stdout
@@ -27,8 +26,7 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dspatch-serve --store DIR [--addr IP] [--port N] [--http-threads N]\n\
-         \x20                  [--queue N] [--rate-burst N] [--rate-per-sec F]"
+        "usage: dspatch-serve --store DIR [--addr IP] [--port N] [--http-threads N] [--queue N]"
     );
     std::process::exit(2);
 }
@@ -99,18 +97,6 @@ fn main() {
                     .ok()
                     .filter(|n| *n >= 1)
                     .unwrap_or_else(|| fail("--queue needs an integer >= 1"));
-            }
-            "--rate-burst" => {
-                config.rate_burst = value("--rate-burst")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--rate-burst needs an integer (0 disables)"));
-            }
-            "--rate-per-sec" => {
-                config.rate_per_sec = value("--rate-per-sec")
-                    .parse()
-                    .ok()
-                    .filter(|rate: &f64| rate.is_finite() && *rate >= 0.0)
-                    .unwrap_or_else(|| fail("--rate-per-sec needs a non-negative number"));
             }
             "--help" | "-h" => usage(),
             other => fail(&format!("unknown flag '{other}'")),

@@ -9,8 +9,8 @@
 //! `dspatch-lab --spec <file> --format json`.
 //!
 //! Everything is hand-rolled on `std` (TCP listener + worker pool, HTTP/1.1
-//! subset, token-bucket rate limiting) under the workspace's no-registry
-//! discipline — the same reason `harness::json` exists.
+//! subset) under the workspace's no-registry discipline — the same reason
+//! `harness::json` exists.
 //!
 //! | Endpoint | Meaning |
 //! |---|---|
@@ -19,18 +19,16 @@
 //! | `GET /campaigns/:id/events` | Chunked JSON-lines progress stream |
 //! | `GET /campaigns/:id/results` | The exact CLI-parity results document |
 //! | `GET /results?figure=&workload=&prefetcher=&config=` | Query all rows |
-//! | `GET /healthz` | Liveness (never rate-limited) |
+//! | `GET /healthz` | Liveness |
 //! | `POST /admin/shutdown` | Begin graceful drain |
 
 #![warn(missing_docs)]
 
 pub mod http;
 pub mod queue;
-pub mod rate_limit;
 pub mod routes;
 pub mod server;
 
 pub use queue::{Campaign, Phase, ServeState, SubmitError, Submitted};
-pub use rate_limit::{Clock, ManualClock, MonotonicClock, RateLimiter};
 pub use routes::error_status;
 pub use server::{http_request, parse_http_response, Server, ServerConfig};

@@ -8,7 +8,6 @@
 
 use crate::http::{Request, Response};
 use crate::queue::{lock_unpoisoned, Campaign, Phase, ServeState, SubmitError, Submitted};
-use crate::rate_limit::RateLimiter;
 use dspatch_harness::analytics::{self, ColumnarView, Query, QueryFormat, QueryOutput};
 use dspatch_harness::campaign::CampaignSpec;
 use dspatch_harness::{ErrorClass, HarnessError, Json};
@@ -63,22 +62,8 @@ fn not_found(path: &str) -> Response {
     error_body(404, &format!("no such resource: {path}"))
 }
 
-/// Routes one parsed request. `client` keys the rate limiter (peer IP).
-pub fn route(
-    state: &Arc<ServeState>,
-    limiter: &RateLimiter,
-    client: &str,
-    request: &Request,
-) -> Reply {
-    // /healthz must stay reachable for liveness probes even when a client
-    // is being throttled.
-    if request.path != "/healthz" {
-        if let Err(retry_after) = limiter.try_acquire(client) {
-            let response = error_body(429, "rate limit exceeded")
-                .with_header("Retry-After", retry_after.to_string());
-            return Reply::Full(response);
-        }
-    }
+/// Routes one parsed request.
+pub fn route(state: &Arc<ServeState>, request: &Request) -> Reply {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     let method = request.method.as_str();
     match segments.as_slice() {

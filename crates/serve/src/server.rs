@@ -16,7 +16,6 @@
 
 use crate::http::{read_request, ChunkedWriter, RequestError, Response};
 use crate::queue::ServeState;
-use crate::rate_limit::{Clock, MonotonicClock, RateLimiter};
 use crate::routes::{route, Reply};
 use dspatch_harness::{HarnessError, Json};
 use std::io::BufReader;
@@ -38,10 +37,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Result-store directory (`results.jsonl` + `campaigns.jsonl`).
     pub store_dir: PathBuf,
-    /// Rate-limit burst capacity per client; `0` disables limiting.
-    pub rate_burst: u32,
-    /// Rate-limit refill, tokens per second.
-    pub rate_per_sec: f64,
 }
 
 impl Default for ServerConfig {
@@ -52,8 +47,6 @@ impl Default for ServerConfig {
             http_threads: 2,
             queue_capacity: 16,
             store_dir: PathBuf::from("dspatch-store"),
-            rate_burst: 0,
-            rate_per_sec: 10.0,
         }
     }
 }
@@ -77,27 +70,13 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// Binds, replays recorded campaigns from the store directory, and
-    /// spawns the acceptor pool and the runner. Pass a [`Clock`] to make
-    /// rate-limit time deterministic in tests; production uses
-    /// [`MonotonicClock`].
+    /// spawns the acceptor pool and the runner.
     ///
     /// # Errors
     ///
     /// Store open failures (typed) and bind failures (as
     /// [`HarnessError::Io`]).
     pub fn start(config: &ServerConfig) -> Result<Server, HarnessError> {
-        Self::start_with_clock(config, Arc::new(MonotonicClock::new()))
-    }
-
-    /// [`Server::start`] with an explicit rate-limiter clock.
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::start`].
-    pub fn start_with_clock(
-        config: &ServerConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Result<Server, HarnessError> {
         let state = ServeState::open(&config.store_dir, config.queue_capacity)?;
         let replayed = state.replay_recorded();
         if replayed > 0 {
@@ -109,21 +88,15 @@ impl Server {
         let local_addr = listener
             .local_addr()
             .map_err(|error| HarnessError::io(&*bind_to, "local_addr", &error))?;
-        let limiter = Arc::new(RateLimiter::new(
-            config.rate_burst,
-            config.rate_per_sec,
-            clock,
-        ));
         let mut acceptors = Vec::new();
         for worker in 0..config.http_threads.max(1) {
             let listener = listener
                 .try_clone()
                 .map_err(|error| HarnessError::io(&*bind_to, "clone listener", &error))?;
             let state = state.clone();
-            let limiter = limiter.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("serve-http-{worker}"))
-                .spawn(move || accept_loop(&listener, &state, &limiter))
+                .spawn(move || accept_loop(&listener, &state))
                 .map_err(|error| HarnessError::io("serve-http", "spawn", &error))?;
             acceptors.push(handle);
         }
@@ -179,16 +152,16 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, state: &Arc<ServeState>, limiter: &Arc<RateLimiter>) {
+fn accept_loop(listener: &TcpListener, state: &Arc<ServeState>) {
     loop {
         if state.draining() {
             return;
         }
         match listener.accept() {
-            Ok((stream, peer)) => {
+            Ok((stream, _)) => {
                 // A drain wake-up connection carries no request;
                 // handle_connection reads EOF and returns immediately.
-                handle_connection(stream, &peer, state, limiter);
+                handle_connection(stream, state);
             }
             Err(_) => {
                 if state.draining() {
@@ -200,12 +173,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServeState>, limiter: &Arc<Ra
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    peer: &SocketAddr,
-    state: &Arc<ServeState>,
-    limiter: &Arc<RateLimiter>,
-) {
+fn handle_connection(stream: TcpStream, state: &Arc<ServeState>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -230,7 +198,7 @@ fn handle_connection(
             return;
         }
     };
-    match route(state, limiter, &peer.ip().to_string(), &request) {
+    match route(state, &request) {
         Reply::Full(response) => {
             drop(response.write_to(&mut write_half));
         }

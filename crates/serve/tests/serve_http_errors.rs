@@ -1,12 +1,11 @@
 //! Hostile-input and error-path behavior of the service over real TCP:
 //! typed 400s from the hardened JSON parser, 404/405 routing, the request
-//! body cap, deterministic 429 rate limiting, `/healthz`, and the drain
-//! rejection. No test here runs a simulation.
+//! body cap, `/healthz`, and the drain rejection. No test here runs a
+//! simulation.
 
 use dspatch_harness::Json;
-use dspatch_serve::{http_request, ManualClock, Server, ServerConfig};
+use dspatch_serve::{http_request, Server, ServerConfig};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dspatch-serve-{tag}-{}", std::process::id()));
@@ -139,45 +138,6 @@ fn routing_parsing_and_drain_errors_are_typed() {
     assert_eq!(status, 200);
     let (status, _, _) = http_request(addr, "POST", "/campaigns", Some("{}")).expect("503");
     assert_eq!(status, 503);
-    server.begin_drain();
-    server.wait();
-}
-
-#[test]
-fn rate_limiting_is_deterministic_with_a_manual_clock() {
-    let clock = Arc::new(ManualClock::new());
-    let server = Server::start_with_clock(
-        &ServerConfig {
-            store_dir: temp_dir("ratelimit"),
-            rate_burst: 2,
-            rate_per_sec: 1.0,
-            ..ServerConfig::default()
-        },
-        clock.clone(),
-    )
-    .expect("server starts");
-    let addr = server.local_addr();
-
-    // The burst passes, the next request is throttled with Retry-After.
-    for _ in 0..2 {
-        let (status, _, _) = http_request(addr, "GET", "/results", None).expect("in burst");
-        assert_eq!(status, 200);
-    }
-    let (status, headers, _) = http_request(addr, "GET", "/results", None).expect("throttled");
-    assert_eq!(status, 429);
-    assert!(headers.iter().any(|(n, v)| n == "retry-after" && v == "1"));
-
-    // /healthz is never limited.
-    let (status, _, _) = http_request(addr, "GET", "/healthz", None).expect("healthz");
-    assert_eq!(status, 200);
-
-    // Advancing the deterministic clock refills exactly one token.
-    clock.advance_millis(1_000);
-    let (status, _, _) = http_request(addr, "GET", "/results", None).expect("refilled");
-    assert_eq!(status, 200);
-    let (status, _, _) = http_request(addr, "GET", "/results", None).expect("throttled again");
-    assert_eq!(status, 429);
-
     server.begin_drain();
     server.wait();
 }

@@ -22,7 +22,9 @@ pub struct CacheConfig {
     pub ways: usize,
     /// Round-trip hit latency in core cycles.
     pub latency: u64,
-    /// Miss-status-holding registers (bounds outstanding misses).
+    /// Miss-status-holding registers. Stored but not modelled: nothing
+    /// reads it, and outstanding demand misses are bounded only by the
+    /// core's load buffer (`CoreConfig::load_buffer_entries`).
     pub mshrs: usize,
 }
 

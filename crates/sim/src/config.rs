@@ -240,11 +240,15 @@ impl SystemConfig {
         if self.cores == 0 {
             return Err("system needs at least one core".to_owned());
         }
-        if self.core.width == 0 || self.core.rob_entries == 0 {
-            return Err("core width and ROB size must be positive".to_owned());
+        let core = &self.core;
+        if core.width == 0 || core.rob_entries == 0 || core.load_buffer_entries == 0 {
+            return Err("core width, ROB and load buffer sizes must be positive".to_owned());
         }
-        if self.dram.channels == 0 {
-            return Err("DRAM needs at least one channel".to_owned());
+        if core.clock_mhz == 0 {
+            return Err("core clock must be positive".to_owned());
+        }
+        if self.dram.channels == 0 || self.dram.bus_bytes == 0 {
+            return Err("DRAM needs at least one channel and a data bus".to_owned());
         }
         if self.prefetch_mshrs == 0 {
             return Err("prefetch MSHR budget must be positive".to_owned());
@@ -339,12 +343,21 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_configs() {
-        let mut cfg = SystemConfig::single_thread();
-        cfg.cores = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = SystemConfig::single_thread();
-        cfg.dram.channels = 0;
-        assert!(cfg.validate().is_err());
+        let breakers: [fn(&mut SystemConfig); 5] = [
+            |cfg| cfg.cores = 0,
+            |cfg| cfg.dram.channels = 0,
+            // Unrefused, each of the last three runs to a wrong result: no
+            // load can issue, every clock conversion collapses to zero
+            // cycles, or a line's transfer time is infinite.
+            |cfg| cfg.core.load_buffer_entries = 0,
+            |cfg| cfg.core.clock_mhz = 0,
+            |cfg| cfg.dram.bus_bytes = 0,
+        ];
+        for (case, breaker) in breakers.iter().enumerate() {
+            let mut cfg = SystemConfig::single_thread();
+            breaker(&mut cfg);
+            assert!(cfg.validate().is_err(), "case {case}");
+        }
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //!   counter per 4×tRC window and the 2-bit bandwidth-utilization quartile
 //!   broadcast DSPatch consumes (paper, Section 3.2).
 //! * [`system`] — an approximate out-of-order core model (ROB- and
-//!   load-buffer-limited memory-level parallelism, 4-wide retire) plus the
-//!   L1/L2/LLC/DRAM hierarchy, for one core or four cores sharing the LLC
-//!   and DRAM.
+//!   load-buffer-limited memory-level parallelism, 4-wide retire) over one
+//!   request walk through L1/L2/LLC/DRAM that the timed engine and the
+//!   functional warm-up share, for one core or four sharing LLC and DRAM.
+//! * [`tables`] — the memory side's open-addressed line table and fill queue.
+//! * [`snapshot`] — in-memory machine checkpoints for sampled simulation.
 //! * [`stats`] — coverage / accuracy / pollution accounting used by the
 //!   figures.
 //! * [`config`] — Table 2 parameters and the DRAM speed grid of Figures 1,

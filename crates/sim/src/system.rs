@@ -1,5 +1,5 @@
-//! The simulated machine: approximate out-of-order cores, the three-level
-//! cache hierarchy, prefetcher hook points and shared DRAM.
+//! The simulated machine: approximate out-of-order cores over a memory
+//! side of private L1/L2 caches, a shared LLC and shared DRAM.
 //!
 //! ## Core model
 //!
@@ -11,71 +11,27 @@
 //! effects prefetching changes — exposed memory latency at the ROB head and
 //! memory-level parallelism — without modelling the full pipeline.
 //!
-//! ## Hierarchy and prefetcher hook points
+//! ## Memory side
 //!
-//! Demand accesses probe L1 → L2 → LLC → DRAM. The optional PC-stride
-//! prefetcher observes L1 accesses and fills into the L1 (Table 2). The
-//! configurable L2 prefetcher is trained on every L1 miss — demand or
-//! prefetch — exactly as in the paper's methodology (Section 4.1), and its
-//! requests fill the L2 and the LLC. DRAM-bound fills are tracked in flight,
-//! so a demand that arrives while its line is still being fetched by a
-//! prefetch observes the remaining latency (prefetch timeliness). In-flight
-//! L2 prefetch fills are bounded per core by
-//! [`SystemConfig::prefetch_mshrs`] — a full prefetch queue drops further
-//! candidates, as the hardware's would — which also keeps the simulator's
-//! fill table small however bursty the predictor.
+//! Everything a request meets past the core model lives in the private
+//! `fabric` child module: the request walk through L1, L2 and LLC (whose
+//! L1 walk, L2/LLC probe and L2-prefetcher training the timed engine and
+//! the functional warm-up share), the in-flight fill table, DRAM booking
+//! and promotion, fill delivery and LLC pollution tracking. Cores hand it
+//! requests through `SharedFabric::demand` and `SharedFabric::warm`.
+
+mod fabric;
 
 use crate::cache::Cache;
 use crate::config::SystemConfig;
-use crate::dram::Dram;
 use crate::snapshot::{CoreSnapshot, MachineState};
 use crate::stats::{CoreResult, PollutionBreakdown, PrefetchAccounting, SimResult};
-use crate::tables::{LineTable, ReadyQueue, Slot};
 use dspatch_prefetchers::{AnyPrefetcher, StrideConfig, StridePrefetcher};
 use dspatch_trace::{IntoTraceSource, TraceRecord, TraceSource};
-use dspatch_types::{
-    CoreId, FillLevel, LineAddr, MemoryAccess, PrefetchContext, PrefetchRequest, PrefetchSink,
-    Prefetcher, SnapshotError,
-};
+use dspatch_types::{PrefetchSink, Prefetcher, SnapshotError};
+use fabric::SharedFabric;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Extra cycles charged for traversing the on-die interconnect to DRAM on
-/// top of the cache probe latencies.
-const DRAM_REQUEST_OVERHEAD: u64 = 10;
-/// Upper bound on tracked pollution victims, in lines (memory guard). The
-/// worst case is every victim alone in its page: 2^20 pages at a 16-byte
-/// key and mask each, 32 MiB of table (a set of lines would take 16 MiB).
-const POLLUTION_TRACK_CAP: usize = 1 << 20;
-/// Pages the victim table holds before its first growth (32 KiB of keys
-/// and masks); it doubles from there.
-const POLLUTION_START_PAGES: usize = 1 << 10;
-
-#[derive(Debug, Clone, Copy)]
-struct PendingFill {
-    ready: u64,
-    core: usize,
-    /// Core whose prefetch MSHR this fill occupies (never reassigned by a
-    /// demand promotion, unlike `core`).
-    issuer: usize,
-    is_prefetch: bool,
-    fill_l1: bool,
-    fill_l2: bool,
-    low_priority: bool,
-    used_by_demand: bool,
-}
-
-/// Placeholder used to initialize unoccupied [`LineTable`] slots.
-const NO_FILL: PendingFill = PendingFill {
-    ready: 0,
-    core: 0,
-    issuer: 0,
-    is_prefetch: false,
-    fill_l1: false,
-    fill_l2: false,
-    low_priority: false,
-    used_by_demand: false,
-};
 
 /// A run of consecutive ROB slots sharing one completion cycle. Gap
 /// (non-memory) instructions allocated in the same cycle all complete one
@@ -176,103 +132,6 @@ impl CoreState {
         self.rob_len = 0;
         self.load_completions.clear();
         self.inflight_prefetches = 0;
-    }
-}
-
-impl std::fmt::Debug for CoreState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CoreState")
-            .field("id", &self.id)
-            .field("workload", &self.workload)
-            .field("prefetcher", &self.l2_prefetcher.name())
-            .field("pending", &self.pending)
-            .field("finished", &self.finished)
-            .finish()
-    }
-}
-
-#[derive(Debug)]
-struct PollutionTracker {
-    /// Lines evicted from the LLC by a prefetch fill and not re-demanded
-    /// yet, as one mask of victim lines per 4 KB page. A page's entry is
-    /// removed when its mask empties.
-    victims: LineTable<u64>,
-    /// Victim lines tracked: the set bits across every mask.
-    lines: usize,
-    counts: PollutionBreakdown,
-}
-
-impl Default for PollutionTracker {
-    fn default() -> Self {
-        Self {
-            victims: LineTable::with_capacity(POLLUTION_START_PAGES, 0),
-            lines: 0,
-            counts: PollutionBreakdown::default(),
-        }
-    }
-}
-
-impl PollutionTracker {
-    fn record_prefetch_victim(&mut self, line: LineAddr) {
-        if self.lines >= POLLUTION_TRACK_CAP {
-            return;
-        }
-        let bit = 1u64 << line.page_offset();
-        match self.victims.slot(line.page().as_u64()) {
-            Slot::Occupied(mask) => {
-                if *mask & bit != 0 {
-                    return;
-                }
-                *mask |= bit;
-            }
-            Slot::Vacant(slot) => slot.insert(bit),
-        }
-        self.lines += 1;
-    }
-
-    /// Classifies a demand that left the L2 if its line is a tracked
-    /// victim. Called on every such demand, so it returns at once while
-    /// nothing is tracked (every baseline run, and every run before its
-    /// first prefetch-fill eviction).
-    #[inline]
-    fn observe_demand(&mut self, line: LineAddr, went_to_dram: bool) {
-        if self.lines == 0 {
-            return;
-        }
-        let page = line.page().as_u64();
-        let bit = 1u64 << line.page_offset();
-        let Some(mask) = self.victims.get_mut(page) else {
-            return;
-        };
-        if *mask & bit == 0 {
-            return;
-        }
-        *mask &= !bit;
-        if *mask == 0 {
-            self.victims.remove(page);
-        }
-        self.lines -= 1;
-        if went_to_dram {
-            self.counts.bad_pollution += 1;
-        } else {
-            self.counts.prefetched_before_use += 1;
-        }
-    }
-
-    /// The breakdown so far: victims still tracked count as never reused.
-    fn breakdown(&self) -> PollutionBreakdown {
-        PollutionBreakdown {
-            no_reuse: self.counts.no_reuse + self.lines as u64,
-            ..self.counts
-        }
-    }
-
-    /// Forgets every tracked victim, keeping the table's capacity, and
-    /// restarts the counts from `counts`.
-    fn reset(&mut self, counts: PollutionBreakdown) {
-        self.victims.clear();
-        self.lines = 0;
-        self.counts = counts;
     }
 }
 
@@ -412,24 +271,6 @@ fn build_cores(
         .collect()
 }
 
-/// The shared side of the machine, beyond every core's private L1/L2
-/// boundary: LLC, DRAM, the in-flight fill table and pollution tracking.
-struct SharedFabric {
-    llc: Cache,
-    dram: Dram,
-    /// In-flight DRAM fills keyed by line address. An open-addressed arena
-    /// seeded from the MSHR configuration: probed at least once per L2 miss
-    /// and per prefetch candidate.
-    pending: LineTable<PendingFill>,
-    /// Fill events ordered by (ready, line): a calendar queue so cost does
-    /// not scale with the DRAM backlog (see [`ReadyQueue`]).
-    ready_queue: ReadyQueue,
-    pollution: PollutionTracker,
-    l2_latency: u64,
-    llc_latency: u64,
-    prefetch_mshrs: usize,
-}
-
 /// The simulated machine: the exact cycle-interleaved engine behind every
 /// simulation, single- or multi-core.
 pub struct Machine {
@@ -441,29 +282,10 @@ pub struct Machine {
 
 impl Machine {
     fn new(config: SystemConfig, core_setup: Vec<(Box<dyn TraceSource>, AnyPrefetcher)>) -> Self {
-        let cores = build_cores(&config, core_setup);
-        // In-flight fills are bounded: demands by the per-core load buffers,
-        // prefetches by the per-core prefetch MSHR budget. Seeding the arena
-        // just past that population keeps the whole table a few KB — every
-        // probe on the per-request hot path stays cache-resident — while
-        // growth remains the safety valve if a configuration outruns it.
-        let pending_capacity = (config.cores
-            * (config.prefetch_mshrs + config.core.load_buffer_entries + 16))
-            .max(128);
-        let fab = SharedFabric {
-            llc: Cache::new(config.llc.clone()),
-            dram: Dram::new(config.dram, config.core.clock_mhz),
-            pending: LineTable::with_capacity(pending_capacity, NO_FILL),
-            ready_queue: ReadyQueue::new(),
-            pollution: PollutionTracker::default(),
-            l2_latency: config.l2.latency,
-            llc_latency: config.llc.latency,
-            prefetch_mshrs: config.prefetch_mshrs,
-        };
         Self {
             cycle: 0,
-            cores,
-            fab,
+            cores: build_cores(&config, core_setup),
+            fab: SharedFabric::new(&config),
             config,
         }
     }
@@ -523,8 +345,7 @@ impl Machine {
     fn step(&mut self) {
         self.cycle += 1;
         let cycle = self.cycle;
-        self.drain_ready_fills(cycle);
-        self.fab.dram.advance(cycle);
+        self.fab.deliver(cycle, &mut self.cores);
         for core in &mut self.cores {
             if core.wake <= cycle {
                 step_core(core, &mut self.fab, &self.config, cycle);
@@ -757,75 +578,21 @@ fn advance_core_closed_form(
     core.drain_load_completions(cycle + skip);
 }
 
-impl Machine {
-    /// Materializes DRAM fills whose data has arrived.
-    fn drain_ready_fills(&mut self, cycle: u64) {
-        while let Some((_, line)) = self.fab.ready_queue.pop_ready(cycle) {
-            let Some(fill) = self.fab.pending.remove(line) else {
-                continue;
-            };
-            if fill.ready > cycle {
-                // A duplicate queue entry from a superseded request; requeue.
-                self.fab.pending.insert(line, fill);
-                self.fab.ready_queue.push(fill.ready, line);
-                continue;
-            }
-            if fill.is_prefetch {
-                // The fill materializes: its prefetch MSHR frees up.
-                self.cores[fill.issuer].inflight_prefetches -= 1;
-            }
-            let line_addr = LineAddr::new(line);
-            let is_prefetch = fill.is_prefetch && !fill.used_by_demand;
-            let core = &mut self.cores[fill.core];
-            if fill.fill_l2 {
-                core.l2.fill(line_addr, is_prefetch, fill.low_priority);
-            }
-            if fill.fill_l1 {
-                core.l1.fill(line_addr, is_prefetch, fill.low_priority);
-            }
-            if let Some(eviction) = self.fab.llc.fill(line_addr, is_prefetch, fill.low_priority) {
-                if is_prefetch {
-                    self.fab.pollution.record_prefetch_victim(eviction.line);
-                }
-            }
-        }
-    }
-}
-
 /// Sampled-simulation support: functional warm-up, bounded measurement
 /// intervals and machine checkpoints ([`crate::snapshot`]).
 impl Machine {
     /// Consumes up to `accesses` trace records per core in **functional
     /// warm-up mode**: caches and prefetcher pattern tables are updated
-    /// with the timed path's probe order, but the timing model — ROB,
-    /// load buffer, MSHRs, DRAM banks, cycle accounting — is skipped
-    /// entirely, and DRAM-bound fills materialize immediately.
-    /// `instructions` and the cycle counter do not advance, so a
-    /// measurement interval started afterwards reports only its own work.
+    /// through the timed engine's own L1 walk and L2/LLC probe, but the
+    /// timing model — ROB, load buffer, MSHRs, DRAM banks, cycle
+    /// accounting — is skipped entirely, and DRAM-bound fills materialize
+    /// immediately. `instructions` and the cycle counter do not advance, so
+    /// a measurement interval started afterwards reports only its own work.
     ///
     /// Returns the number of records actually consumed (the minimum across
     /// cores; less than `accesses` only when a trace runs out).
     pub fn run_functional(&mut self, accesses: u64) -> u64 {
-        let bandwidth = self.fab.dram.bandwidth_quartile();
-        let prefetch_budget = self.fab.prefetch_mshrs;
-        let mut min_consumed = u64::MAX;
-        for core in &mut self.cores {
-            let mut consumed = 0;
-            while consumed < accesses {
-                let Some(record) = core.pending else { break };
-                functional_access(core, &mut self.fab.llc, bandwidth, prefetch_budget, &record);
-                core.records_consumed += 1;
-                core.pending = core.source.next_record();
-                core.gap_remaining = core.pending.map_or(0, |r| r.gap);
-                consumed += 1;
-            }
-            min_consumed = min_consumed.min(consumed);
-        }
-        if min_consumed == u64::MAX {
-            0
-        } else {
-            min_consumed
-        }
+        self.consume_records(accesses, SharedFabric::warm)
     }
 
     /// Discards up to `accesses` trace records per core without simulating
@@ -838,25 +605,30 @@ impl Machine {
     /// Returns the number of records actually discarded (the minimum across
     /// cores; less than `accesses` only when a trace runs out).
     pub fn skip_records(&mut self, accesses: u64) -> u64 {
-        let mut min_consumed = u64::MAX;
-        for core in &mut self.cores {
+        self.consume_records(accesses, |_, _, _| {})
+    }
+
+    /// Consumes up to `accesses` records per core outside the timed engine,
+    /// handing each to `apply` first. Returns the fewest any core consumed.
+    fn consume_records(
+        &mut self,
+        accesses: u64,
+        mut apply: impl FnMut(&mut SharedFabric, &mut CoreState, &TraceRecord),
+    ) -> u64 {
+        let fab = &mut self.fab;
+        let consumed = self.cores.iter_mut().map(|core| {
             let mut consumed = 0;
             while consumed < accesses {
-                if core.pending.is_none() {
-                    break;
-                }
+                let Some(record) = core.pending else { break };
+                apply(fab, core, &record);
                 core.records_consumed += 1;
                 core.pending = core.source.next_record();
                 core.gap_remaining = core.pending.map_or(0, |r| r.gap);
                 consumed += 1;
             }
-            min_consumed = min_consumed.min(consumed);
-        }
-        if min_consumed == u64::MAX {
-            0
-        } else {
-            min_consumed
-        }
+            consumed
+        });
+        consumed.min().unwrap_or(0)
     }
 
     /// Runs one detailed **measurement interval** of exactly `accesses`
@@ -918,7 +690,7 @@ impl Machine {
     /// [`Machine::run_interval`] leave behind. Anything else is rejected
     /// with [`SnapshotError::Unsupported`].
     pub fn capture(&self) -> Result<MachineState, SnapshotError> {
-        if !self.fab.pending.is_empty() || !self.fab.ready_queue.is_empty() {
+        if !self.fab.is_idle() {
             return Err(SnapshotError::Unsupported(
                 "capture requires a functional boundary: DRAM fills are in flight".to_owned(),
             ));
@@ -1025,123 +797,6 @@ impl Machine {
     }
 }
 
-/// Applies one trace record in functional warm-up mode, mirroring
-/// `demand_access`'s probe/train order without any timing: fills
-/// that would arrive from DRAM materialize immediately, MSHR bounds and
-/// pollution-victim tracking are skipped.
-fn functional_access(
-    core: &mut CoreState,
-    llc: &mut Cache,
-    bandwidth: dspatch_types::BandwidthQuartile,
-    prefetch_budget: usize,
-    record: &TraceRecord,
-) {
-    let line = record.addr.line();
-    let access = MemoryAccess::new(record.pc, record.addr, record.kind).with_core(CoreId(core.id));
-
-    let mut l1_sink = std::mem::take(&mut core.l1_sink);
-    l1_sink.clear();
-    if let Some(prefetcher) = core.l1_prefetcher.as_mut() {
-        let ctx = PrefetchContext::at_cycle(0).with_bandwidth(bandwidth);
-        prefetcher.on_access(&access, &ctx, &mut l1_sink);
-    }
-
-    if !core.l1.demand_lookup(line) {
-        core.accounting.l2_demand_accesses += 1;
-        functional_beyond_l1(core, llc, bandwidth, prefetch_budget, &access, line, true);
-    }
-
-    for request in l1_sink.requests() {
-        let prefetch_line = request.line;
-        if core.l1.prefetch_lookup(prefetch_line) {
-            continue;
-        }
-        // An L1 prefetch miss trains the L2 prefetcher, as in the timed path.
-        let pc = dspatch_types::Pc::new(0);
-        let prefetch_access =
-            MemoryAccess::new(pc, prefetch_line.to_addr(), dspatch_types::AccessKind::Load)
-                .with_core(CoreId(core.id));
-        functional_beyond_l1(
-            core,
-            llc,
-            bandwidth,
-            prefetch_budget,
-            &prefetch_access,
-            prefetch_line,
-            false,
-        );
-        core.l1.fill(prefetch_line, true, false);
-    }
-    core.l1_sink = l1_sink;
-}
-
-/// Functional counterpart of `SharedFabric::access_beyond_l1` plus the L2
-/// prefetcher training both timed call sites perform: probes L2 → LLC,
-/// fills inner levels on the same conditions, updates coverage accounting,
-/// then trains the L2 prefetcher and applies its requests as immediate
-/// prefetch fills. At most `prefetch_budget` (the prefetch MSHR count)
-/// requests are applied per training event — the timed engine drops
-/// candidates beyond its in-flight MSHR budget on the floor, so applying
-/// a dense pattern in full would warm the caches with lines the detailed
-/// run never fetches (and dominate warm-up cost for aggressive patterns).
-fn functional_beyond_l1(
-    core: &mut CoreState,
-    llc: &mut Cache,
-    bandwidth: dspatch_types::BandwidthQuartile,
-    prefetch_budget: usize,
-    access: &MemoryAccess,
-    line: LineAddr,
-    count_coverage: bool,
-) {
-    let (l2_hit, l2_was_unused_prefetch) = core.l2.demand_lookup_first_use(line);
-    if l2_hit {
-        if count_coverage && l2_was_unused_prefetch {
-            core.accounting.covered += 1;
-            core.accounting.prefetches_used += 1;
-        }
-    } else {
-        let (llc_hit, llc_first_use) = llc.demand_lookup_first_use(line);
-        if llc_hit {
-            if count_coverage && llc_first_use {
-                core.accounting.covered += 1;
-                core.accounting.prefetches_used += 1;
-            }
-        } else if count_coverage {
-            core.accounting.uncovered += 1;
-        }
-        core.l2.fill(line, false, false);
-        core.l1.fill(line, false, false);
-        if !llc_hit {
-            let _ = llc.fill(line, false, false);
-        }
-    }
-
-    let mut l2_sink = std::mem::take(&mut core.l2_sink);
-    l2_sink.clear();
-    {
-        let ctx = PrefetchContext::at_cycle(0)
-            .with_cache_hit(l2_hit)
-            .with_bandwidth(bandwidth);
-        core.l2_prefetcher.on_access(access, &ctx, &mut l2_sink);
-    }
-    let mut applied = 0usize;
-    for request in l2_sink.requests() {
-        if applied >= prefetch_budget {
-            break;
-        }
-        if core.l2.prefetch_lookup(request.line) {
-            continue;
-        }
-        applied += 1;
-        core.accounting.prefetches_issued += 1;
-        let _ = llc.fill(request.line, true, request.low_priority);
-        if request.fill_level != FillLevel::Llc {
-            core.l2.fill(request.line, true, request.low_priority);
-        }
-    }
-    core.l2_sink = l2_sink;
-}
-
 /// Steps one core for one cycle against `fab`: retire, then allocate,
 /// issuing demand accesses and prefetches through the shared fabric.
 fn step_core(core: &mut CoreState, fab: &mut SharedFabric, config: &SystemConfig, cycle: u64) {
@@ -1207,7 +862,7 @@ fn step_core(core: &mut CoreState, fab: &mut SharedFabric, config: &SystemConfig
         } else {
             cycle
         };
-        let completion = demand_access(core, fab, config, &record, issue_cycle);
+        let completion = fab.demand(core, &record, config.l1.latency, issue_cycle);
         core.last_memory_completion = completion;
         core.rob_push(completion, 1);
         core.load_completions.push(Reverse(completion));
@@ -1220,262 +875,12 @@ fn step_core(core: &mut CoreState, fab: &mut SharedFabric, config: &SystemConfig
     }
 }
 
-/// Performs one demand access through the hierarchy and returns its
-/// completion cycle.
-fn demand_access(
-    core: &mut CoreState,
-    fab: &mut SharedFabric,
-    config: &SystemConfig,
-    record: &TraceRecord,
-    cycle: u64,
-) -> u64 {
-    let line = record.addr.line();
-    let l1_latency = config.l1.latency;
-    let bandwidth = fab.dram.bandwidth_quartile();
-    let access = MemoryAccess::new(record.pc, record.addr, record.kind).with_core(CoreId(core.id));
-
-    // L1 prefetcher observes every demand access at the L1. The sink is
-    // taken out of the core for the duration of the call (a pointer swap,
-    // not an allocation) so the borrow checker allows issuing through
-    // `&mut core` while iterating it.
-    let mut l1_sink = std::mem::take(&mut core.l1_sink);
-    l1_sink.clear();
-    if let Some(prefetcher) = core.l1_prefetcher.as_mut() {
-        let ctx = PrefetchContext::at_cycle(cycle).with_bandwidth(bandwidth);
-        prefetcher.on_access(&access, &ctx, &mut l1_sink);
-    }
-
-    // L1 probe.
-    let l1_hit = core.l1.demand_lookup(line);
-    let completion = if l1_hit {
-        cycle + l1_latency
-    } else {
-        core.accounting.l2_demand_accesses += 1;
-        let (latency, l2_hit) = fab.access_beyond_l1(core, line, cycle, true);
-        // Train the L2 prefetcher on this L1 miss and issue its requests.
-        let mut l2_sink = std::mem::take(&mut core.l2_sink);
-        l2_sink.clear();
-        {
-            let ctx = PrefetchContext::at_cycle(cycle)
-                .with_cache_hit(l2_hit)
-                .with_bandwidth(bandwidth);
-            core.l2_prefetcher.on_access(&access, &ctx, &mut l2_sink);
-        }
-        for request in l2_sink.requests() {
-            if !fab.issue_l2_prefetch(core, request, cycle) {
-                break;
-            }
-        }
-        core.l2_sink = l2_sink;
-        cycle + l1_latency + latency
-    };
-
-    // L1 prefetcher requests are handled after the demand so they never
-    // shorten the triggering access itself.
-    for request in l1_sink.requests() {
-        issue_l1_prefetch(core, fab, request, cycle);
-    }
-    core.l1_sink = l1_sink;
-    completion
-}
-
-/// Issues one request from the L1 stride prefetcher. L1 prefetch misses
-/// also train the L2 prefetcher, matching the paper's methodology.
-fn issue_l1_prefetch(
-    core: &mut CoreState,
-    fab: &mut SharedFabric,
-    request: &PrefetchRequest,
-    cycle: u64,
-) {
-    let line = request.line;
-    if core.l1.prefetch_lookup(line) {
-        return;
-    }
-    // The L1 prefetch misses the L1: it becomes an L2 access that also
-    // trains the L2 prefetcher (as a prefetch-miss training event).
-    let bandwidth = fab.dram.bandwidth_quartile();
-    let pc = dspatch_types::Pc::new(0);
-    let access = MemoryAccess::new(pc, line.to_addr(), dspatch_types::AccessKind::Load)
-        .with_core(CoreId(core.id));
-    let (_, l2_hit) = fab.access_beyond_l1(core, line, cycle, false);
-    // `demand_access` has already put the L2 sink back before
-    // iterating the L1 requests, so taking it again here never aliases.
-    let mut l2_sink = std::mem::take(&mut core.l2_sink);
-    l2_sink.clear();
-    {
-        let ctx = PrefetchContext::at_cycle(cycle)
-            .with_cache_hit(l2_hit)
-            .with_bandwidth(bandwidth);
-        core.l2_prefetcher.on_access(&access, &ctx, &mut l2_sink);
-    }
-    for request in l2_sink.requests() {
-        if !fab.issue_l2_prefetch(core, request, cycle) {
-            break;
-        }
-    }
-    core.l2_sink = l2_sink;
-    // Fill the line into the L1 as a prefetch.
-    core.l1.fill(line, true, false);
-}
-
-impl SharedFabric {
-    /// Abandons every in-flight DRAM fill, as a context switch would.
-    fn reset_timing(&mut self) {
-        self.pending.clear();
-        self.ready_queue = ReadyQueue::new();
-    }
-
-    /// Probes L2, LLC, the in-flight fills and DRAM for a demand access that
-    /// already missed the L1. Returns `(latency beyond the L1 probe, l2_hit)`
-    /// and performs the fills/accounting.
-    fn access_beyond_l1(
-        &mut self,
-        core: &mut CoreState,
-        line: LineAddr,
-        cycle: u64,
-        count_coverage: bool,
-    ) -> (u64, bool) {
-        let l2_latency = self.l2_latency;
-        let llc_latency = self.llc_latency;
-
-        // L2 probe.
-        let (l2_hit, l2_was_unused_prefetch) = core.l2.demand_lookup_first_use(line);
-        if l2_hit {
-            if count_coverage && l2_was_unused_prefetch {
-                core.accounting.covered += 1;
-                core.accounting.prefetches_used += 1;
-            }
-            return (l2_latency, true);
-        }
-
-        // LLC probe.
-        let (llc_hit, llc_first_use) = self.llc.demand_lookup_first_use(line);
-        if llc_hit {
-            if count_coverage && llc_first_use {
-                core.accounting.covered += 1;
-                core.accounting.prefetches_used += 1;
-            }
-            // Fill the inner levels (demand fill).
-            core.l2.fill(line, false, false);
-            core.l1.fill(line, false, false);
-            self.pollution.observe_demand(line, false);
-            return (l2_latency + llc_latency, false);
-        }
-
-        // In-flight fill (an earlier prefetch or demand to the same line) or
-        // DRAM access — resolved with a single hash probe.
-        let issue_cycle = cycle + l2_latency + llc_latency + DRAM_REQUEST_OVERHEAD;
-        match self.pending.slot(line.as_u64()) {
-            Slot::Occupied(fill) => {
-                // A demand hitting an in-flight prefetch promotes it to
-                // demand priority (as an MSHR hit would): re-issue the
-                // request with demand priority and take whichever data
-                // return is earlier.
-                let was_prefetch = fill.is_prefetch && !fill.used_by_demand;
-                fill.used_by_demand = true;
-                fill.fill_l1 = true;
-                fill.fill_l2 = true;
-                fill.core = core.id;
-                let old_ready = fill.ready;
-                let promoted_ready = if was_prefetch && old_ready > issue_cycle {
-                    let reissued = self.dram.access(line, issue_cycle, false);
-                    fill.ready = fill.ready.min(reissued);
-                    self.ready_queue.push(fill.ready, line.as_u64());
-                    fill.ready
-                } else {
-                    old_ready
-                };
-                if count_coverage && was_prefetch {
-                    core.accounting.covered += 1;
-                    core.accounting.prefetches_used += 1;
-                }
-                self.pollution.observe_demand(line, false);
-                let wait = promoted_ready.saturating_sub(cycle).max(1);
-                (l2_latency + llc_latency + wait, false)
-            }
-            Slot::Vacant(vacant) => {
-                // DRAM access.
-                if count_coverage {
-                    core.accounting.uncovered += 1;
-                }
-                self.pollution.observe_demand(line, true);
-                let ready = self.dram.access(line, issue_cycle, false);
-                vacant.insert(PendingFill {
-                    ready,
-                    core: core.id,
-                    issuer: core.id,
-                    is_prefetch: false,
-                    fill_l1: true,
-                    fill_l2: true,
-                    low_priority: false,
-                    used_by_demand: true,
-                });
-                self.ready_queue.push(ready, line.as_u64());
-                (
-                    l2_latency
-                        + llc_latency
-                        + DRAM_REQUEST_OVERHEAD
-                        + ready.saturating_sub(issue_cycle),
-                    false,
-                )
-            }
-        }
-    }
-
-    /// Issues one request from the L2 prefetcher. Returns `false` when the
-    /// core's prefetch MSHR budget is exhausted: the budget only grows
-    /// within one access's issue loop, so the caller can stop iterating the
-    /// remaining candidates — a full prefetch queue drops them on the
-    /// floor, as the hardware's would.
-    fn issue_l2_prefetch(
-        &mut self,
-        core: &mut CoreState,
-        request: &PrefetchRequest,
-        cycle: u64,
-    ) -> bool {
-        if core.inflight_prefetches >= self.prefetch_mshrs {
-            return false;
-        }
-        let line = request.line;
-        let key = line.as_u64();
-        let fill_l2 = request.fill_level != FillLevel::Llc;
-        if core.l2.prefetch_lookup(line) {
-            return true; // already resident where it would be filled
-        }
-        // One hash probe decides in-flight filtering and books the fill.
-        let Slot::Vacant(vacant) = self.pending.slot(key) else {
-            return true;
-        };
-        core.accounting.prefetches_issued += 1;
-        let ready = if self.llc.prefetch_lookup(line) {
-            // The line is on-die already: pull it into the L2 without DRAM
-            // traffic; model it as arriving after an LLC round trip.
-            cycle + self.llc_latency
-        } else {
-            self.dram.access(line, cycle + DRAM_REQUEST_OVERHEAD, true)
-        };
-        vacant.insert(PendingFill {
-            ready,
-            core: core.id,
-            issuer: core.id,
-            is_prefetch: true,
-            fill_l1: false,
-            fill_l2,
-            low_priority: request.low_priority,
-            used_by_demand: false,
-        });
-        core.inflight_prefetches += 1;
-        self.ready_queue.push(ready, key);
-        true
-    }
-}
-
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
             .field("cycle", &self.cycle)
             .field("cores", &self.cores.len())
-            .field("pending_fills", &self.fab.pending.len())
+            .field("pending_fills", &self.fab.fills_in_flight())
             .finish()
     }
 }
@@ -1875,67 +1280,6 @@ mod tests {
                 "{name}"
             );
         }
-    }
-
-    /// Differential-tests the page-mask tracker against a plain set of
-    /// lines through a long seeded churn: a few victims per page, victims
-    /// recorded again while tracked, pages emptied and refilled, demands
-    /// that went to DRAM and ones that did not, and resets.
-    #[test]
-    fn pollution_tracker_matches_a_line_set_under_churn() {
-        let mut tracker = PollutionTracker::default();
-        let mut reference = std::collections::HashSet::new();
-        let mut counts = PollutionBreakdown::default();
-        // Demands before the first victim find nothing.
-        for line in 0..256 {
-            tracker.observe_demand(LineAddr::new(line), line % 2 == 0);
-        }
-        assert_eq!(tracker.breakdown(), counts);
-        // Offsets at both ends of a page and in between, a few per page.
-        const OFFSETS: [u64; 6] = [0, 1, 17, 40, 62, 63];
-        let mut state = 0x5EED_F00D_u64;
-        for step in 0..200_000u64 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let page = (state >> 40) % 512;
-            let line = page * 64 + OFFSETS[((state >> 32) % 6) as usize];
-            if state % 5 < 2 {
-                tracker.record_prefetch_victim(LineAddr::new(line));
-                reference.insert(line);
-            } else {
-                let went_to_dram = (state >> 20) & 1 == 1;
-                tracker.observe_demand(LineAddr::new(line), went_to_dram);
-                if reference.remove(&line) {
-                    if went_to_dram {
-                        counts.bad_pollution += 1;
-                    } else {
-                        counts.prefetched_before_use += 1;
-                    }
-                }
-            }
-            if step % 50_000 == 49_999 {
-                // An interval boundary or a restore: the victims are
-                // forgotten and the counts start from the given values.
-                tracker.reset(counts);
-                reference.clear();
-            }
-            assert_eq!(tracker.lines, reference.len(), "step {step}");
-            assert_eq!(tracker.counts, counts, "step {step}");
-            if step % 1_000 == 0 {
-                let pages: std::collections::HashSet<u64> =
-                    reference.iter().map(|line| line >> 6).collect();
-                assert_eq!(tracker.victims.len(), pages.len(), "step {step}");
-            }
-        }
-        assert!(counts.prefetched_before_use > 0 && counts.bad_pollution > 0);
-        assert_eq!(
-            tracker.breakdown(),
-            PollutionBreakdown {
-                no_reuse: counts.no_reuse + reference.len() as u64,
-                ..counts
-            }
-        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub struct VacantSlot<'a, V> {
     index: usize,
 }
 
-impl<V: Copy> VacantSlot<'_, V> {
+impl<V: Copy + Default> VacantSlot<'_, V> {
     /// Inserts `value` for the probed key.
     pub fn insert(self, value: V) {
         self.table.keys[self.index] = self.key;
@@ -62,22 +62,20 @@ pub struct LineTable<V> {
     /// Right-shift applied to the hash product: `64 - log2(capacity)`.
     shift: u32,
     len: usize,
-    /// A copy of the default value used to (re)initialize slots.
-    fill: V,
 }
 
-impl<V: Copy> LineTable<V> {
+impl<V: Copy + Default> LineTable<V> {
     /// Creates a table with room for at least `capacity` entries before the
-    /// first growth (sized up to the next power of two at 1/2 load).
-    pub fn with_capacity(capacity: usize, fill: V) -> Self {
+    /// first growth (sized up to the next power of two at 1/2 load). Vacant
+    /// slots hold `V::default()`.
+    pub fn with_capacity(capacity: usize) -> Self {
         let slots = (capacity.max(8) * 2).next_power_of_two();
         Self {
             keys: vec![EMPTY; slots],
-            vals: vec![fill; slots],
+            vals: vec![V::default(); slots],
             mask: slots - 1,
             shift: 64 - slots.trailing_zeros(),
             len: 0,
-            fill,
         }
     }
 
@@ -198,7 +196,7 @@ impl<V: Copy> LineTable<V> {
     fn grow(&mut self) {
         let new_slots = self.keys.len() * 2;
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_slots]);
-        let old_vals = std::mem::replace(&mut self.vals, vec![self.fill; new_slots]);
+        let old_vals = std::mem::replace(&mut self.vals, vec![V::default(); new_slots]);
         self.mask = new_slots - 1;
         self.shift = 64 - new_slots.trailing_zeros();
         for (key, val) in old_keys.into_iter().zip(old_vals) {
@@ -224,7 +222,7 @@ mod tests {
     /// deliberately clustered key distribution.
     #[test]
     fn behaves_like_a_hash_map_under_churn() {
-        let mut table: LineTable<u64> = LineTable::with_capacity(16, 0);
+        let mut table: LineTable<u64> = LineTable::with_capacity(16);
         let mut reference = std::collections::HashMap::new();
         let mut state = 0x0123_4567_89AB_CDEF_u64;
         for step in 0..200_000u64 {
@@ -265,7 +263,7 @@ mod tests {
         // entries), keys engineered to collide would need hash inversion, so
         // instead fill enough keys that clusters arise, then delete from the
         // middle and verify every survivor is still found.
-        let mut table: LineTable<usize> = LineTable::with_capacity(64, 0);
+        let mut table: LineTable<usize> = LineTable::with_capacity(64);
         let keys: Vec<u64> = (0..56).map(|i| i * 131).collect();
         for (i, &k) in keys.iter().enumerate() {
             table.insert(k, i);
@@ -286,7 +284,7 @@ mod tests {
 
     #[test]
     fn growth_preserves_contents() {
-        let mut table: LineTable<u64> = LineTable::with_capacity(8, 0);
+        let mut table: LineTable<u64> = LineTable::with_capacity(8);
         for i in 0..10_000u64 {
             table.insert(i, i * 2);
         }
