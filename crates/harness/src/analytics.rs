@@ -151,22 +151,6 @@ pub struct Filter {
     pub value: String,
 }
 
-impl Filter {
-    /// Whether a row passes. `scale` compares numerically, `code_version`
-    /// by dotted-segment version order, everything else by byte order.
-    pub fn matches(&self, row: &ResultRow) -> bool {
-        let ordering = match self.field {
-            Field::Scale => match self.value.parse::<u64>() {
-                Ok(value) => row.scale.cmp(&value),
-                Err(_) => return false,
-            },
-            Field::CodeVersion => compare_versions(&row.code_version, &self.value),
-            field => field.of(row).as_str().cmp(self.value.as_str()),
-        };
-        self.op.accepts(ordering)
-    }
-}
-
 /// An aggregation function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Agg {
@@ -491,6 +475,9 @@ impl ColumnarView {
             .map(|(_, column)| column.as_slice())
     }
 
+    /// Whether row `index` passes `filter`. `scale` compares numerically,
+    /// `code_version` by dotted-segment version order, everything else by
+    /// byte order.
     fn matches(&self, filter: &Filter, index: usize) -> bool {
         let ordering = match filter.field {
             Field::Scale => match filter.value.parse::<u64>() {

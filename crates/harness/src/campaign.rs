@@ -1776,7 +1776,7 @@ fn plan_jobs(cells: &[ResolvedCell], scale: &RunScale) -> (Vec<Job>, Vec<Campaig
                 job_index.insert(key.clone(), jobs.len());
                 jobs.push(Job {
                     key,
-                    fingerprint: crate::store::cell_fingerprint_sampled(
+                    fingerprint: crate::store::cell_fingerprint(
                         &target_key,
                         &format!("{sel:?}"),
                         &cell.config,
@@ -2111,20 +2111,15 @@ mod tests {
     #[test]
     fn sampled_and_exact_cells_never_alias_in_the_store() {
         let config = ConfigSpec::single_thread().build();
-        let exact = crate::store::cell_fingerprint("w:a", "Kind(Spp)", &config, 20_000);
+        let exact = crate::store::cell_fingerprint("w:a", "Kind(Spp)", &config, 20_000, None);
         let plan = SamplingPlan {
             warmup_accesses: 2_000,
             interval_accesses: 400,
             intervals: 4,
             seed: 1,
         };
-        let sampled = crate::store::cell_fingerprint_sampled(
-            "w:a",
-            "Kind(Spp)",
-            &config,
-            20_000,
-            Some(&plan),
-        );
+        let sampled =
+            crate::store::cell_fingerprint("w:a", "Kind(Spp)", &config, 20_000, Some(&plan));
         assert_ne!(exact, sampled);
     }
 

@@ -5,7 +5,7 @@
 //! scale, code version) cell produced these stats" — in the single shape
 //! the content-addressed store and the analytics layer share. It spells
 //! the cell identity out as typed fields (the exact components of
-//! [`crate::store::cell_fingerprint_sampled`], which remains the content
+//! [`crate::store::cell_fingerprint`], which remains the content
 //! address), carries the full exactly-serialized [`SimResult`], and is
 //! encoded with a `"schema": 2` tag. A row of any other schema is refused
 //! by the store rather than read.
@@ -31,7 +31,7 @@ pub const SCHEMA_VERSION: u64 = 2;
 /// statistics, in the single canonical JSON encoding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultRow {
-    /// Content address ([`crate::store::cell_fingerprint_sampled`]),
+    /// Content address ([`crate::store::cell_fingerprint`]),
     /// 16 hex digits.
     pub fingerprint: String,
     /// Campaign (figure) name the cell was first simulated for. Not part

@@ -3,8 +3,8 @@
 //! place a campaign's results persist.
 //!
 //! Every record is keyed by a [`cell_fingerprint`] — FNV-1a over the `(code
-//! version, target, prefetcher, normalized config, accesses-per-workload)`
-//! identity of one simulation cell — so *any* campaign, submitted by *any*
+//! version, target, prefetcher, normalized config, accesses-per-workload,
+//! sampling plan)` identity of one simulation cell — so *any* campaign, submitted by *any*
 //! request or process incarnation, that reaches an already-simulated cell is
 //! served from disk instead of re-simulating. That is also how a killed
 //! campaign resumes: re-run it against the same store and every cell it
@@ -45,12 +45,16 @@ pub const STORE_FILE: &str = "results.jsonl";
 /// served for newer code (or vice versa).
 ///
 /// It is the crate version plus a trailing model-revision segment, raised
-/// whenever simulated results change while the crate version stays put.
-/// Revision 1 is multi-core simulation on the exact cycle-interleaved
-/// machine. [`compare_versions`] sorts `0.1.0.1` after `0.1.0`, so
-/// `store gc --keep-versions 1` drops the superseded rows.
+/// whenever simulated results or cell identities change while the crate
+/// version stays put. Revision 1 is multi-core simulation on the exact
+/// cycle-interleaved machine. Revision 2 runs every simulation until each
+/// core has retired its last record: no cycle cap truncates a row any
+/// more, and `SystemConfig`'s `Debug` text, which every cell fingerprint
+/// hashes, lost the cap's field. [`compare_versions`] sorts `0.1.0.2`
+/// after `0.1.0.1` and `0.1.0`, so `store gc --keep-versions 1` drops the
+/// superseded rows.
 pub fn code_version() -> &'static str {
-    concat!(env!("CARGO_PKG_VERSION"), ".1")
+    concat!(env!("CARGO_PKG_VERSION"), ".2")
 }
 
 /// Orders version strings by their dotted numeric segments (`0.10.0` after
@@ -114,22 +118,13 @@ pub fn campaign_fingerprint(spec_json: &Json, scale: &RunScale) -> String {
 /// Content address of one simulation cell, rendered as 16 hex digits.
 ///
 /// The identity is `(code version, target key, prefetcher selection,
-/// config, accesses per workload)`. The config is hashed through its `Debug`
-/// rendering, which is stable within one code version; `code_version()` in
-/// the identity covers renderings drifting *across* versions.
+/// config, accesses per workload, sampling plan)`. The config is hashed
+/// through its `Debug` rendering, which is stable within one code version;
+/// `code_version()` in the identity covers renderings drifting *across*
+/// versions. Sampled and exact results of the same cell get distinct
+/// identities: a sampled IPC is an estimate and must never be served where
+/// an exact one was asked for.
 pub fn cell_fingerprint(
-    target_key: &str,
-    prefetcher: &str,
-    config: &SystemConfig,
-    accesses_per_workload: usize,
-) -> String {
-    cell_fingerprint_sampled(target_key, prefetcher, config, accesses_per_workload, None)
-}
-
-/// [`cell_fingerprint`] with an optional sampling plan: sampled and exact
-/// results of the same cell get distinct identities (a sampled IPC is an
-/// estimate and must never be served where an exact one was asked for).
-pub fn cell_fingerprint_sampled(
     target_key: &str,
     prefetcher: &str,
     config: &SystemConfig,
@@ -539,6 +534,7 @@ mod tests {
             "Kind(Baseline)",
             &SystemConfig::single_thread(),
             32,
+            None,
         );
         let row = ResultRow::new(
             fp.clone(),
@@ -570,8 +566,8 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_but_midfile_damage_is_typed() {
         let dir = temp_dir("torn");
-        let fp_a = cell_fingerprint("w:a", "Kind(Spp)", &SystemConfig::single_thread(), 32);
-        let fp_b = cell_fingerprint("w:b", "Kind(Spp)", &SystemConfig::single_thread(), 32);
+        let fp_a = cell_fingerprint("w:a", "Kind(Spp)", &SystemConfig::single_thread(), 32, None);
+        let fp_b = cell_fingerprint("w:b", "Kind(Spp)", &SystemConfig::single_thread(), 32, None);
         {
             let mut store = ResultStore::open(&dir).expect("open");
             store
@@ -620,15 +616,18 @@ mod tests {
 
     #[test]
     fn fingerprint_separates_every_identity_field() {
+        let exact = |target, prefetcher, config, accesses| {
+            cell_fingerprint(target, prefetcher, config, accesses, None)
+        };
         let base = SystemConfig::single_thread();
-        let fp = cell_fingerprint("w:x", "Kind(Dspatch)", &base, 1000);
-        assert_eq!(fp, cell_fingerprint("w:x", "Kind(Dspatch)", &base, 1000));
+        let fp = exact("w:x", "Kind(Dspatch)", &base, 1000);
+        assert_eq!(fp, exact("w:x", "Kind(Dspatch)", &base, 1000));
         let mut other = base.clone();
         other.prefetch_mshrs += 1;
-        assert_ne!(fp, cell_fingerprint("w:x", "Kind(Dspatch)", &other, 1000));
-        assert_ne!(fp, cell_fingerprint("w:y", "Kind(Dspatch)", &base, 1000));
-        assert_ne!(fp, cell_fingerprint("w:x", "Kind(Spp)", &base, 1000));
-        assert_ne!(fp, cell_fingerprint("w:x", "Kind(Dspatch)", &base, 2000));
+        assert_ne!(fp, exact("w:x", "Kind(Dspatch)", &other, 1000));
+        assert_ne!(fp, exact("w:y", "Kind(Dspatch)", &base, 1000));
+        assert_ne!(fp, exact("w:x", "Kind(Spp)", &base, 1000));
+        assert_ne!(fp, exact("w:x", "Kind(Dspatch)", &base, 2000));
     }
 
     #[test]
@@ -697,7 +696,7 @@ mod tests {
         let spec = crate::campaign::CampaignSpec::template().to_json();
         assert_eq!(
             campaign_fingerprint(&spec, &RunScale::smoke()),
-            "691429532a2c3416"
+            "691428532a2c3263"
         );
     }
 

@@ -12,7 +12,7 @@
 //! evaluates.
 
 use crate::composite::AdjunctPrefetcher;
-use crate::{BopPrefetcher, SmsPrefetcher, SppPrefetcher, StreamPrefetcher, StridePrefetcher};
+use crate::{BopPrefetcher, SmsPrefetcher, SppPrefetcher, StreamPrefetcher};
 use dspatch::DsPatch;
 use dspatch_types::{MemoryAccess, NullPrefetcher, PrefetchContext, PrefetchSink, Prefetcher};
 
@@ -86,8 +86,6 @@ pub mod composites {
 pub enum AnyPrefetcher {
     /// The no-prefetching baseline.
     Null(NullPrefetcher),
-    /// PC-based stride prefetcher.
-    Stride(StridePrefetcher),
     /// Aggressive next-line streamer.
     Stream(StreamPrefetcher),
     /// Best Offset Prefetcher (BOP / eBOP).
@@ -111,7 +109,6 @@ macro_rules! dispatch {
     ($self:expr, $p:ident => $body:expr) => {
         match $self {
             AnyPrefetcher::Null($p) => $body,
-            AnyPrefetcher::Stride($p) => $body,
             AnyPrefetcher::Stream($p) => $body,
             AnyPrefetcher::Bop($p) => $body,
             AnyPrefetcher::Sms($p) => $body,
@@ -142,12 +139,6 @@ impl Prefetcher for AnyPrefetcher {
 impl From<NullPrefetcher> for AnyPrefetcher {
     fn from(p: NullPrefetcher) -> Self {
         AnyPrefetcher::Null(p)
-    }
-}
-
-impl From<StridePrefetcher> for AnyPrefetcher {
-    fn from(p: StridePrefetcher) -> Self {
-        AnyPrefetcher::Stride(p)
     }
 }
 
@@ -208,14 +199,13 @@ impl std::fmt::Debug for AnyPrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BopConfig, SmsConfig, SppConfig, StreamConfig, StrideConfig};
+    use crate::{BopConfig, SmsConfig, SppConfig, StreamConfig};
     use dspatch::DsPatchConfig;
     use dspatch_types::{AccessKind, Addr, Pc};
 
     fn every_static_variant() -> Vec<AnyPrefetcher> {
         vec![
             NullPrefetcher::new().into(),
-            StridePrefetcher::new(StrideConfig::default()).into(),
             StreamPrefetcher::new(StreamConfig::default()).into(),
             BopPrefetcher::new(BopConfig::default()).into(),
             SmsPrefetcher::new(SmsConfig::default()).into(),

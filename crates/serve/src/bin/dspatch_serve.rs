@@ -10,10 +10,11 @@
 //! (scripts and tests scrape the ephemeral port from this line), and serves
 //! until SIGTERM/SIGINT or `POST /admin/shutdown`, then drains gracefully —
 //! accepted campaigns complete, sockets close, exit 0. Results live in
-//! `DIR/results.jsonl` (content-addressed cells) and `DIR/campaigns.jsonl`
-//! (completed campaigns, replayed on startup). Exit codes: 0 clean drain,
-//! 2 usage error, otherwise the `HarnessError` class codes `dspatch-lab`
-//! uses (4 I/O, 5 corrupt store, 6 store/code-version mismatch).
+//! `DIR/results.jsonl` (content-addressed cells), the one file the service
+//! writes; after a restart, re-submitting a spec serves every cell from it.
+//! Exit codes: 0 clean drain, 2 usage error, otherwise the `HarnessError`
+//! class codes `dspatch-lab` uses (4 I/O, 5 corrupt store, 6 store/code-
+//! version mismatch).
 
 // Failures on serve paths carry typed context; panicking helpers are
 // forbidden outside tests.

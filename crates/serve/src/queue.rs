@@ -11,9 +11,10 @@
 //! content-addressed [`ResultStore`] — which is what makes results durable
 //! *across* campaigns and process restarts.
 //!
-//! Completed clean campaigns are appended to `campaigns.jsonl` next to the
-//! store; on startup the server resubmits them, and because every cell is a
-//! store hit they re-materialize without a single simulator invocation.
+//! The registry lives in memory only; the store is the one file the
+//! service writes. After a restart a client re-submits its spec: the id is
+//! the same, and every cell is a store hit, so the campaign re-materializes
+//! without a single simulator invocation.
 
 use dspatch_harness::campaign::{
     run_campaign_with, CampaignResult, CampaignSpec, ExecOptions, ProgressEvent,
@@ -22,15 +23,10 @@ use dspatch_harness::runner::RunScale;
 use dspatch_harness::store::{campaign_fingerprint, ResultStore};
 use dspatch_harness::{HarnessError, Json, SharedStore};
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
-
-/// File (next to the result store) recording completed campaigns for
-/// startup replay.
-pub const CAMPAIGNS_FILE: &str = "campaigns.jsonl";
 
 /// Lifecycle of a submitted campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,7 +256,6 @@ struct Registry {
 /// Shared service state: the registry, the queue, and the durable store.
 pub struct ServeState {
     store: SharedStore,
-    store_dir: PathBuf,
     registry: Mutex<Registry>,
     queue: Mutex<VecDeque<Arc<Campaign>>>,
     queue_cv: Condvar,
@@ -271,7 +266,6 @@ pub struct ServeState {
 impl std::fmt::Debug for ServeState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeState")
-            .field("store_dir", &self.store_dir)
             .field("queue_capacity", &self.queue_capacity)
             .field("draining", &self.draining)
             .finish_non_exhaustive()
@@ -289,7 +283,6 @@ impl ServeState {
         let store = ResultStore::open(store_dir)?;
         Ok(Arc::new(Self {
             store: Arc::new(Mutex::new(store)),
-            store_dir: store_dir.to_path_buf(),
             registry: Mutex::new(Registry::default()),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -415,7 +408,6 @@ impl ServeState {
         };
         match run_campaign_with(&campaign.spec, &campaign.scale, &opts) {
             Ok(result) => {
-                let clean = result.failures.is_empty();
                 {
                     let mut inner = lock_unpoisoned(&campaign.inner);
                     inner.result_json = Some(result.to_json().render());
@@ -423,9 +415,6 @@ impl ServeState {
                     inner.phase = Phase::Done;
                 }
                 campaign.notify.notify_all();
-                if clean {
-                    self.record_for_replay(campaign);
-                }
             }
             Err(error) => {
                 campaign.push_event(Json::obj([
@@ -440,65 +429,6 @@ impl ServeState {
                 campaign.notify.notify_all();
             }
         }
-    }
-
-    /// Appends a completed campaign to `campaigns.jsonl` so a restarted
-    /// server re-materializes it from the store. Best-effort: a write
-    /// failure costs restart warm-up, not correctness, so it is reported
-    /// and swallowed.
-    fn record_for_replay(&self, campaign: &Arc<Campaign>) {
-        let line = Json::obj([(
-            "campaign",
-            Json::obj([
-                ("id", Json::str(&campaign.id)),
-                ("spec", campaign.spec.to_json()),
-            ]),
-        )])
-        .render_compact();
-        let path = self.store_dir.join(CAMPAIGNS_FILE);
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut file| {
-                file.write_all(line.as_bytes())?;
-                file.write_all(b"\n")?;
-                file.flush()
-            });
-        if let Err(error) = appended {
-            eprintln!(
-                "dspatch-serve: cannot record campaign {} in {}: {error}",
-                campaign.id,
-                path.display()
-            );
-        }
-    }
-
-    /// Resubmits every campaign recorded in `campaigns.jsonl`. Every cell is
-    /// a store hit, so replayed campaigns re-materialize without simulator
-    /// work. Malformed lines (at most a torn final append) are skipped.
-    /// Returns how many campaigns were enqueued.
-    pub fn replay_recorded(self: &Arc<Self>) -> usize {
-        let path = self.store_dir.join(CAMPAIGNS_FILE);
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return 0;
-        };
-        let mut enqueued = 0;
-        for line in text.lines() {
-            let Ok(json) = Json::parse(line) else {
-                continue;
-            };
-            let Some(spec_json) = json.get("campaign").and_then(|c| c.get("spec")) else {
-                continue;
-            };
-            let Ok(spec) = CampaignSpec::from_json(spec_json) else {
-                continue;
-            };
-            if matches!(self.submit(spec), Ok(Submitted::New(_))) {
-                enqueued += 1;
-            }
-        }
-        enqueued
     }
 }
 

@@ -35,7 +35,7 @@ pub struct ServerConfig {
     pub http_threads: usize,
     /// Bounded campaign queue length.
     pub queue_capacity: usize,
-    /// Result-store directory (`results.jsonl` + `campaigns.jsonl`).
+    /// Result-store directory (holds `results.jsonl` only).
     pub store_dir: PathBuf,
 }
 
@@ -69,8 +69,8 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds, replays recorded campaigns from the store directory, and
-    /// spawns the acceptor pool and the runner.
+    /// Opens the store, binds, and spawns the acceptor pool and the
+    /// runner.
     ///
     /// # Errors
     ///
@@ -78,10 +78,6 @@ impl Server {
     /// [`HarnessError::Io`]).
     pub fn start(config: &ServerConfig) -> Result<Server, HarnessError> {
         let state = ServeState::open(&config.store_dir, config.queue_capacity)?;
-        let replayed = state.replay_recorded();
-        if replayed > 0 {
-            eprintln!("dspatch-serve: replaying {replayed} recorded campaign(s) from the store");
-        }
         let bind_to = format!("{}:{}", config.addr, config.port);
         let listener = TcpListener::bind(&bind_to)
             .map_err(|error| HarnessError::io(&*bind_to, "bind", &error))?;

@@ -245,9 +245,9 @@ fn round_trip_parity_and_zero_resimulation() {
     server.begin_drain();
     server.wait();
 
-    // Restart on the same store directory: the recorded campaign replays
-    // through the executor, every cell a store hit — zero simulations —
-    // and the results document is still byte-identical.
+    // Restart on the same store directory and re-submit: the campaign runs
+    // through the executor again, every cell a store hit — zero
+    // simulations — and the results document is still byte-identical.
     let before = simulations_started();
     let server = Server::start(&config(store_dir)).expect("server restarts");
     let addr = server.local_addr();

@@ -146,6 +146,11 @@ impl DramConfig {
 }
 
 /// Full system configuration (Table 2).
+///
+/// Nothing here bounds how long a run takes: a simulation ends when every
+/// core has retired its last record. [`SystemConfig::validate`] refuses the
+/// inputs that would make a latency zero by accident, infinite or
+/// undefined, so every run of a valid configuration finishes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Core parameters.
@@ -181,9 +186,6 @@ pub struct SystemConfig {
     /// wall-clock cost. Exists so the skip machinery's exactness stays
     /// falsifiable.
     pub cycle_skipping: bool,
-    /// Upper bound on simulated cycles (guards against pathological
-    /// configurations; 0 disables the guard).
-    pub max_cycles: u64,
 }
 
 impl SystemConfig {
@@ -200,7 +202,6 @@ impl SystemConfig {
             l1_stride_prefetcher: true,
             prefetch_mshrs: 16,
             cycle_skipping: true,
-            max_cycles: 2_000_000_000,
         }
     }
 
@@ -247,8 +248,24 @@ impl SystemConfig {
         if core.clock_mhz == 0 {
             return Err("core clock must be positive".to_owned());
         }
-        if self.dram.channels == 0 || self.dram.bus_bytes == 0 {
+        let dram = &self.dram;
+        if dram.channels == 0 || dram.bus_bytes == 0 {
             return Err("DRAM needs at least one channel and a data bus".to_owned());
+        }
+        if dram.ranks_per_channel == 0 || dram.banks_per_rank == 0 {
+            return Err("DRAM needs at least one rank and one bank per rank".to_owned());
+        }
+        for (name, ns) in [
+            ("tCL", dram.t_cl_ns),
+            ("tRCD", dram.t_rcd_ns),
+            ("tRP", dram.t_rp_ns),
+            ("tRAS", dram.t_ras_ns),
+        ] {
+            if !(ns.is_finite() && ns >= 0.0) {
+                return Err(format!(
+                    "DRAM {name} must be a finite, non-negative time, got {ns} ns"
+                ));
+            }
         }
         if self.prefetch_mshrs == 0 {
             return Err("prefetch MSHR budget must be positive".to_owned());
@@ -343,15 +360,22 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_configs() {
-        let breakers: [fn(&mut SystemConfig); 5] = [
+        let breakers: [fn(&mut SystemConfig); 10] = [
             |cfg| cfg.cores = 0,
             |cfg| cfg.dram.channels = 0,
-            // Unrefused, each of the last three runs to a wrong result: no
+            // Unrefused, each of the next three runs to a wrong result: no
             // load can issue, every clock conversion collapses to zero
             // cycles, or a line's transfer time is infinite.
             |cfg| cfg.core.load_buffer_entries = 0,
             |cfg| cfg.core.clock_mhz = 0,
             |cfg| cfg.dram.bus_bytes = 0,
+            // A negative or NaN timing would round to 0 cycles and an
+            // infinite one to `u64::MAX`; zero banks panic in `Dram::new`.
+            |cfg| cfg.dram.t_cl_ns = -15.0,
+            |cfg| cfg.dram.t_rcd_ns = f64::NAN,
+            |cfg| cfg.dram.t_ras_ns = f64::INFINITY,
+            |cfg| cfg.dram.banks_per_rank = 0,
+            |cfg| cfg.dram.ranks_per_channel = 0,
         ];
         for (case, breaker) in breakers.iter().enumerate() {
             let mut cfg = SystemConfig::single_thread();

@@ -14,7 +14,7 @@
 //!   load-buffer-limited memory-level parallelism, 4-wide retire) over one
 //!   request walk through L1/L2/LLC/DRAM that the timed engine and the
 //!   functional warm-up share, for one core or four sharing LLC and DRAM.
-//! * [`tables`] — the memory side's open-addressed line table and fill queue.
+//! * [`tables`] — the memory side's open-addressed line table.
 //! * [`snapshot`] — in-memory machine checkpoints for sampled simulation.
 //! * [`stats`] — coverage / accuracy / pollution accounting used by the
 //!   figures.

@@ -297,15 +297,6 @@ impl Machine {
     pub fn run(&mut self) -> SimResult {
         while !self.cores.iter().all(|c| c.finished) {
             self.step();
-            if self.config.max_cycles > 0 && self.cycle > self.config.max_cycles {
-                // Safety valve: mark all cores finished so the run terminates.
-                for core in &mut self.cores {
-                    if !core.finished {
-                        core.finished = true;
-                        core.finish_cycle = self.cycle;
-                    }
-                }
-            }
             self.skip_idle_cycles();
         }
         let cycles = self.cycle;
@@ -383,12 +374,6 @@ impl Machine {
             return;
         }
         let cycle = self.cycle;
-        // Never advance a core past the safety valve's trigger point.
-        let valve = if self.config.max_cycles > 0 {
-            self.config.max_cycles.saturating_sub(cycle)
-        } else {
-            u64::MAX
-        };
         let width = self.config.core.width;
         let rob_entries = self.config.core.rob_entries;
         let mut next_wake = u64::MAX;
@@ -398,7 +383,6 @@ impl Machine {
                 core.wake = if skip == u64::MAX {
                     u64::MAX // finished
                 } else {
-                    let skip = skip.min(valve);
                     if skip > 0 {
                         advance_core_closed_form(core, cycle, skip, width, rob_entries);
                     }
@@ -1036,33 +1020,28 @@ mod tests {
     }
 
     #[test]
-    fn max_cycles_valve_terminates_multi_core_runs() {
-        use dspatch_trace::{GeneratorSpec, SynthSource};
-        let run = |skipping: bool| {
-            let mut config = SystemConfig::multi_programmed();
-            config.max_cycles = 10_000;
-            config.cycle_skipping = skipping;
-            let mut builder = SimulationBuilder::new(config);
-            for seed in 0..4u64 {
-                // Gaps of different lengths put the cores in different
-                // phases when the valve trips.
-                let spec = GeneratorSpec::Stream(StreamGen {
-                    gap: 6 + 40 * seed as u32,
-                    ..StreamGen::default()
-                });
-                builder = builder.with_core(
-                    SynthSource::new("long", spec, seed, 200_000),
-                    NullPrefetcher::new(),
-                );
-            }
-            builder.run()
+    fn a_run_ends_only_when_every_record_has_retired() {
+        use dspatch_trace::PointerChaseGen;
+        // Every miss of a dependent chase waits 100 us for its column
+        // access, so 10,000 records take about four billion cycles. No
+        // cycle count cuts the run short.
+        let mut config = SystemConfig::single_thread();
+        config.dram.t_cl_ns = 100_000.0;
+        let chase = PointerChaseGen {
+            nodes: 1 << 20,
+            node_bytes: 192,
+            gap: 0,
         };
-        let result = run(true);
-        assert!(result.cycles <= 10_000 + 1);
-        assert_eq!(result.cores.len(), 4);
-        // Each core's fast-forward stops at the valve: a core advanced past
-        // it would report extra instructions.
-        assert_eq!(result, run(false));
+        let result = SimulationBuilder::new(config)
+            .with_core(
+                Trace::new("chase", chase.generate_records(3, 10_000)),
+                NullPrefetcher::new(),
+            )
+            .run();
+        let core = &result.cores[0];
+        assert_eq!(core.instructions, 10_000);
+        assert_eq!(core.l1.demand_hits + core.l1.demand_misses, 10_000);
+        assert!(result.cycles > 2_000_000_001, "{} cycles", result.cycles);
     }
 
     #[test]
@@ -1411,13 +1390,10 @@ mod tests {
     #[test]
     fn each_interval_restarts_the_core_schedule() {
         // Every interval restarts the clock at 0, so a wake-up cycle left
-        // over from the previous interval must not carry into the next. The
-        // low valve makes a stale schedule fail fast instead of idling up
-        // to the default one.
-        let mut config = SystemConfig::single_thread();
-        config.max_cycles = 100_000;
+        // over from the previous interval must not carry into the next: a
+        // stale schedule would idle the second interval up to that cycle.
         let machine = || {
-            SimulationBuilder::new(config.clone())
+            SimulationBuilder::new(SystemConfig::single_thread())
                 .with_core(stream_trace(8_000, 42), NullPrefetcher::new())
                 .into_machine()
         };

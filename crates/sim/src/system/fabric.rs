@@ -21,18 +21,25 @@
 //! bounds L2 prefetches by their MSHRs and tracks LLC pollution; the
 //! functional one fills every level at once, never reaches DRAM, and
 //! applies a bounded number of L2 prefetch requests per training event.
+//!
+//! Every DRAM-bound fill queues one `(ready, line)` event in a plain binary
+//! heap, which [`SharedFabric::deliver`] pops in that order. The demands'
+//! load buffers and the prefetch MSHRs bound what is in flight, so the heap
+//! holds a few hundred events in a typical run and a few thousand at most.
 
 use super::CoreState;
 use crate::cache::Cache;
 use crate::config::SystemConfig;
 use crate::dram::Dram;
 use crate::stats::PollutionBreakdown;
-use crate::tables::{LineTable, ReadyQueue, Slot};
+use crate::tables::{LineTable, Slot};
 use dspatch_trace::TraceRecord;
 use dspatch_types::{
     AccessKind, BandwidthQuartile, CoreId, FillLevel, LineAddr, MemoryAccess, Pc, PrefetchContext,
     PrefetchRequest, Prefetcher,
 };
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Extra cycles charged for traversing the on-die interconnect to DRAM on
 /// top of the cache probe latencies.
@@ -86,9 +93,10 @@ pub(super) struct SharedFabric {
     /// seeded from the MSHR configuration: probed at least once per L2 miss
     /// and per prefetch candidate.
     pending: LineTable<PendingFill>,
-    /// Fill events ordered by (ready, line): a calendar queue so cost does
-    /// not scale with the DRAM backlog (see [`ReadyQueue`]).
-    ready_queue: ReadyQueue,
+    /// Fill events, earliest `(ready, line)` first. A promotion queues a
+    /// second event for its line, so `deliver` drops an event whose fill
+    /// has already arrived.
+    ready_queue: BinaryHeap<Reverse<(u64, u64)>>,
     pub(super) pollution: PollutionTracker,
     l2_latency: u64,
     llc_latency: u64,
@@ -109,7 +117,7 @@ impl SharedFabric {
             llc: Cache::new(config.llc.clone()),
             dram: Dram::new(config.dram, config.core.clock_mhz),
             pending: LineTable::with_capacity(pending_capacity),
-            ready_queue: ReadyQueue::new(),
+            ready_queue: BinaryHeap::new(),
             pollution: PollutionTracker::default(),
             l2_latency: config.l2.latency,
             llc_latency: config.llc.latency,
@@ -147,14 +155,18 @@ impl SharedFabric {
     /// arrived materializes in its caches, in (ready, line) order, and the
     /// DRAM bandwidth tracker advances.
     pub(super) fn deliver(&mut self, cycle: u64, cores: &mut [CoreState]) {
-        while let Some((_, line)) = self.ready_queue.pop_ready(cycle) {
+        while let Some(&Reverse((ready, line))) = self.ready_queue.peek() {
+            if ready > cycle {
+                break;
+            }
+            self.ready_queue.pop();
             let Some(fill) = self.pending.remove(line) else {
                 continue;
             };
             if fill.ready > cycle {
                 // A duplicate queue entry from a superseded request; requeue.
                 self.pending.insert(line, fill);
-                self.ready_queue.push(fill.ready, line);
+                self.ready_queue.push(Reverse((fill.ready, line)));
                 continue;
             }
             if fill.is_prefetch {
@@ -182,7 +194,7 @@ impl SharedFabric {
     /// Abandons every in-flight DRAM fill, as a context switch would.
     pub(super) fn reset_timing(&mut self) {
         self.pending.clear();
-        self.ready_queue = ReadyQueue::new();
+        self.ready_queue.clear();
     }
 
     /// Whether no DRAM fill is in flight (a functional boundary).
@@ -261,7 +273,7 @@ impl SharedFabric {
                 let promoted_ready = if was_prefetch && old_ready > issue_cycle {
                     let reissued = self.dram.access(line, issue_cycle, false);
                     fill.ready = fill.ready.min(reissued);
-                    self.ready_queue.push(fill.ready, line.as_u64());
+                    self.ready_queue.push(Reverse((fill.ready, line.as_u64())));
                     fill.ready
                 } else {
                     old_ready
@@ -288,7 +300,7 @@ impl SharedFabric {
                     used_by_demand: true,
                     ..PendingFill::default()
                 });
-                self.ready_queue.push(ready, line.as_u64());
+                self.ready_queue.push(Reverse((ready, line.as_u64())));
                 DRAM_REQUEST_OVERHEAD + ready.saturating_sub(issue_cycle)
             }
         }
@@ -336,7 +348,7 @@ impl SharedFabric {
             ..PendingFill::default()
         });
         core.inflight_prefetches += 1;
-        self.ready_queue.push(ready, key);
+        self.ready_queue.push(Reverse((ready, key)));
         true
     }
 

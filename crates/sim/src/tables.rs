@@ -1,4 +1,4 @@
-//! Open-addressed hash structures for the per-access hot path.
+//! The open-addressed hash table of the per-access hot path.
 //!
 //! The machine keeps two populations in a [`LineTable`]: in-flight DRAM
 //! fills keyed by line (probed at least once per L2 miss and once per
@@ -292,185 +292,5 @@ mod tests {
         for i in 0..10_000u64 {
             assert_eq!(table.get_mut(i).copied(), Some(i * 2));
         }
-    }
-}
-
-/// A calendar queue for (ready-cycle, line) fill events, replacing a single
-/// `BinaryHeap` whose size — and therefore per-operation cost — tracked the
-/// whole DRAM backlog (tens of thousands of entries when prefetches queue
-/// behind a saturated bus).
-///
-/// Events are binned into fixed-width cycle windows held as unsorted ring
-/// buckets; only the current window lives in a real heap, so push is O(1)
-/// for future windows and pop pays `log` of the few events due *now*
-/// instead of `log` of everything in flight. Events beyond the ring horizon
-/// overflow into a spill heap that is migrated window by window.
-///
-/// Pop order is exactly the `BinaryHeap` order it replaces —
-/// lexicographic `(ready, line)` — because windows are processed in
-/// ascending order and each window's events pop through the near heap.
-#[derive(Debug)]
-pub struct ReadyQueue {
-    /// Events in windows `<= window`: the only heap-ordered portion.
-    near: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-    /// Ring of future windows: `buckets[w & (buckets.len() - 1)]` holds
-    /// events whose window is `w`, for `window < w < window + buckets.len()`.
-    buckets: Vec<Vec<(u64, u64)>>,
-    /// Events at or beyond the ring horizon.
-    overflow: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-    /// The window index `near` currently covers.
-    window: u64,
-    len: usize,
-}
-
-/// Cycles per calendar window. Wide enough that window turnover is rare,
-/// narrow enough that the near heap stays tiny.
-const WINDOW_CYCLES: u64 = 256;
-/// Ring length (windows); must be a power of two.
-const RING_WINDOWS: usize = 1024;
-
-impl ReadyQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self {
-            near: std::collections::BinaryHeap::with_capacity(256),
-            buckets: vec![Vec::new(); RING_WINDOWS],
-            overflow: std::collections::BinaryHeap::new(),
-            window: 0,
-            len: 0,
-        }
-    }
-
-    /// Total queued events (including stale duplicates, exactly like the
-    /// heap it replaces).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Queues a fill event.
-    #[inline]
-    pub fn push(&mut self, ready: u64, line: u64) {
-        self.len += 1;
-        let w = ready / WINDOW_CYCLES;
-        if w <= self.window {
-            self.near.push(std::cmp::Reverse((ready, line)));
-        } else if w < self.window + RING_WINDOWS as u64 {
-            self.buckets[(w as usize) & (RING_WINDOWS - 1)].push((ready, line));
-        } else {
-            self.overflow.push(std::cmp::Reverse((ready, line)));
-        }
-    }
-
-    /// Moves every window up to `cycle`'s into the near heap.
-    #[inline]
-    fn advance(&mut self, cycle: u64) {
-        let target = cycle / WINDOW_CYCLES;
-        while self.window < target {
-            self.window += 1;
-            let bucket = (self.window as usize) & (RING_WINDOWS - 1);
-            for (ready, line) in self.buckets[bucket].drain(..) {
-                self.near.push(std::cmp::Reverse((ready, line)));
-            }
-            // Spill entries that have come inside the horizon move into
-            // their ring bucket (or the near heap once their window is
-            // reached); migrating lazily per window keeps this O(1)-ish.
-            while let Some(&std::cmp::Reverse((ready, line))) = self.overflow.peek() {
-                if ready / WINDOW_CYCLES >= self.window + RING_WINDOWS as u64 {
-                    break;
-                }
-                self.overflow.pop();
-                let w = ready / WINDOW_CYCLES;
-                if w <= self.window {
-                    self.near.push(std::cmp::Reverse((ready, line)));
-                } else {
-                    self.buckets[(w as usize) & (RING_WINDOWS - 1)].push((ready, line));
-                }
-            }
-        }
-    }
-
-    /// Removes and returns the earliest event whose ready cycle is at or
-    /// before `cycle`, in ascending `(ready, line)` order.
-    #[inline]
-    pub fn pop_ready(&mut self, cycle: u64) -> Option<(u64, u64)> {
-        self.advance(cycle);
-        match self.near.peek() {
-            Some(&std::cmp::Reverse((ready, line))) if ready <= cycle => {
-                self.near.pop();
-                self.len -= 1;
-                Some((ready, line))
-            }
-            _ => None,
-        }
-    }
-}
-
-impl Default for ReadyQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
-mod ready_queue_tests {
-    use super::*;
-
-    /// The calendar queue must pop in exactly the order of the binary heap
-    /// it replaced: ascending (ready, line), gated by the probe cycle.
-    #[test]
-    fn matches_binary_heap_order_under_random_traffic() {
-        let mut queue = ReadyQueue::new();
-        let mut reference = std::collections::BinaryHeap::new();
-        let mut state = 0xDEAD_BEEF_u64;
-        let mut cycle = 0u64;
-        for _ in 0..100_000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            match state % 3 {
-                0 | 1 => {
-                    // Mix of near-future, far-future and past-horizon events.
-                    let delta = match (state >> 8) % 4 {
-                        0 => (state >> 32) % 8,
-                        1 => (state >> 32) % 500,
-                        2 => (state >> 32) % 50_000,
-                        _ => (state >> 32) % 1_000_000,
-                    };
-                    let line = (state >> 16) % 1000;
-                    queue.push(cycle + delta, line);
-                    reference.push(std::cmp::Reverse((cycle + delta, line)));
-                }
-                _ => {
-                    cycle += (state >> 32) % 600;
-                    loop {
-                        let got = queue.pop_ready(cycle);
-                        let want = match reference.peek() {
-                            Some(&std::cmp::Reverse((r, l))) if r <= cycle => {
-                                reference.pop();
-                                Some((r, l))
-                            }
-                            _ => None,
-                        };
-                        assert_eq!(got, want, "divergence at cycle {cycle}");
-                        if got.is_none() {
-                            break;
-                        }
-                    }
-                    assert_eq!(queue.len(), reference.len());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn empty_queue_pops_nothing() {
-        let mut queue = ReadyQueue::new();
-        assert!(queue.is_empty());
-        assert_eq!(queue.pop_ready(1_000_000), None);
     }
 }
